@@ -307,9 +307,6 @@ pub struct LerOutcome {
     pub p: f64,
     /// Idle error strength (from the noise spec).
     pub idle: f64,
-    /// The estimation engine the counts were computed with (part of the
-    /// reproduction key alongside `seed` and `chunk_size`).
-    pub engine: Engine,
     /// Wall-clock duration of the whole job.
     pub wall: Duration,
 }
@@ -338,7 +335,7 @@ impl LerOutcome {
             decoder: self.decoder.clone(),
             noise: self.noise.map(|n| n.to_string()).unwrap_or_default(),
             stop: self.stop.as_str().to_string(),
-            engine: self.engine.as_str().to_string(),
+            engine: Engine::Frames.as_str().to_string(),
             wall_s: self.wall.as_secs_f64(),
             shots_per_sec: self.shots_per_sec(),
         }
@@ -400,7 +397,6 @@ mod tests {
             noise: Some(NoiseSpec::uniform(1e-3)),
             p: 1e-3,
             idle: 0.0,
-            engine: Engine::Frames,
             wall: Duration::from_millis(500),
         };
         assert!((outcome.shots_per_sec() - 2000.0).abs() < 1e-9);

@@ -24,7 +24,7 @@
 //!   `biased:0.001:10`).
 //!
 //! Every session also carries a [`prophunt_obs`] registry (re-exported as
-//! [`obs`]) shared with its runtime, the LER engines and search;
+//! [`obs`]) shared with its runtime, the LER engine and search;
 //! [`Session::metrics`] snapshots cache hit/miss counters, deterministic
 //! shot/chunk counters and per-stage span histograms in one call.
 //!
@@ -73,7 +73,7 @@ pub use job::{
 };
 pub use noise::NoiseSpec;
 pub use search::{SearchJob, SearchOutcome};
-pub use session::{Session, SessionStats};
+pub use session::Session;
 pub use spec::{BasisSelection, ExperimentSpec, ExperimentSpecBuilder, ScheduleSource};
 
 // Re-export the budget, engine and strategy types jobs are parameterized by,

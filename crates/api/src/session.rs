@@ -8,10 +8,9 @@
 //! repeated jobs on the same grid point are free.
 //!
 //! Every session carries an enabled `prophunt-obs` registry (shared with its
-//! runtime, the LER engines and search, so one [`Session::metrics`] snapshot
+//! runtime, the LER engine and search, so one [`Session::metrics`] snapshot
 //! covers all four layers). Cache accounting lives in the registry as
-//! `session.cache.<kind>.hit` / `.miss` counters plus `session.jobs`;
-//! [`SessionStats`] survives as a thin compatibility view over those counters.
+//! `session.cache.<kind>.hit` / `.miss` counters plus `session.jobs`.
 
 use crate::decoder::DecoderRegistry;
 use crate::error::ApiError;
@@ -23,7 +22,7 @@ use crate::spec::ExperimentSpec;
 use prophunt::{PropHunt, PropHuntConfig};
 use prophunt_circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment};
 use prophunt_decoders::{
-    estimate_with_budget_engine_cached, DecodeCache, Decoder, Engine, LogicalErrorEstimate,
+    estimate_logical_error_rate, DecodeCache, Decoder, LogicalErrorEstimate, ShotBudget,
 };
 use prophunt_formats::write_schedule;
 use prophunt_obs::{Obs, Snapshot};
@@ -54,31 +53,6 @@ fn basis_tag(basis: MemoryBasis) -> u8 {
     }
 }
 
-/// Cache hit/miss counters of a session (observability for sweeps and tests).
-///
-/// Deprecated in favour of the session's `prophunt-obs` registry: the same
-/// numbers live there as `session.cache.<kind>.hit` / `.miss` and
-/// `session.jobs` counters, alongside everything the runtime, LER engines and
-/// search record. [`Session::stats`] now rebuilds this struct from a registry
-/// snapshot; prefer [`Session::metrics`] for new code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Memory experiments built.
-    pub experiments_built: usize,
-    /// Memory-experiment cache hits.
-    pub experiment_hits: usize,
-    /// Detector error models built.
-    pub dems_built: usize,
-    /// Detector-error-model cache hits.
-    pub dem_hits: usize,
-    /// Decoder instances built.
-    pub decoders_built: usize,
-    /// Decoder cache hits.
-    pub decoder_hits: usize,
-    /// Jobs run to completion.
-    pub jobs_run: usize,
-}
-
 /// The stateful execution context of the experiment API. See the module docs.
 pub struct Session {
     runtime: Runtime,
@@ -94,7 +68,6 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("runtime", self.runtime.config())
             .field("registry", &self.registry)
-            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -112,7 +85,7 @@ impl Session {
 
     /// Creates a session recording into a caller-supplied observability handle
     /// (e.g. a registry shared with other sessions). A disabled handle turns the
-    /// session's metrics off wholesale; [`Session::stats`] then reads all zeros.
+    /// session's metrics off wholesale; [`Session::metrics`] then reads empty.
     pub fn with_obs(config: RuntimeConfig, registry: DecoderRegistry, obs: Obs) -> Session {
         Session {
             runtime: Runtime::with_obs(config, obs.clone()),
@@ -150,7 +123,7 @@ impl Session {
     }
 
     /// Returns the observability handle shared by the session, its runtime, the
-    /// LER engines and search.
+    /// LER engine and search.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -159,21 +132,6 @@ impl Session {
     /// (empty when the session was built with a disabled [`Obs`]).
     pub fn metrics(&self) -> Snapshot {
         self.obs.snapshot().unwrap_or_default()
-    }
-
-    /// Returns the cache statistics, rebuilt from the metrics registry
-    /// (`session.cache.<kind>.hit` / `.miss` and `session.jobs` counters).
-    pub fn stats(&self) -> SessionStats {
-        let snap = self.metrics();
-        SessionStats {
-            experiments_built: snap.counter("session.cache.experiment.miss") as usize,
-            experiment_hits: snap.counter("session.cache.experiment.hit") as usize,
-            dems_built: snap.counter("session.cache.dem.miss") as usize,
-            dem_hits: snap.counter("session.cache.dem.hit") as usize,
-            decoders_built: snap.counter("session.cache.decoder.miss") as usize,
-            decoder_hits: snap.counter("session.cache.decoder.hit") as usize,
-            jobs_run: snap.counter("session.jobs") as usize,
-        }
     }
 
     fn experiment_key(spec: &ExperimentSpec, basis: MemoryBasis) -> ExperimentKey {
@@ -269,9 +227,9 @@ impl Session {
     /// Runs a [`LerJob`], emitting [`Event`]s through `observer`.
     ///
     /// The estimate is a pure function of the job and the session's
-    /// `(seed, chunk_size)` plus the spec's [`Engine`]; thread count changes
-    /// wall-clock time only, including for adaptively stopped budgets (decisions
-    /// are made at chunk granularity in chunk order).
+    /// `(seed, chunk_size)`; thread count changes wall-clock time only,
+    /// including for adaptively stopped budgets (decisions are made at chunk
+    /// granularity in chunk order).
     ///
     /// # Errors
     ///
@@ -296,12 +254,11 @@ impl Session {
             let dem = self.dem(&job.spec, basis)?;
             let decoder = self.decoder(&job.spec, basis)?;
             let runtime = self.runtime.clone();
-            let (estimate, reason) = estimate_with_budget_engine_cached(
+            let (estimate, reason) = estimate_logical_error_rate(
                 &dem,
                 decoder.as_ref(),
                 job.budget,
                 seed,
-                job.spec.engine(),
                 job.spec.decode_cache(),
                 &runtime,
                 &mut |progress| {
@@ -336,7 +293,6 @@ impl Session {
             noise: Some(job.spec.noise()),
             p: job.spec.noise().p(),
             idle: job.spec.noise().idle(),
-            engine: job.spec.engine(),
             wall: span.finish(),
         })
     }
@@ -490,20 +446,18 @@ impl Session {
     }
 
     /// Estimates a pre-built detector error model (e.g. parsed from a `.dem`
-    /// file) under `decoder_name`, `budget`, `engine` and `decode_cache` — the
-    /// Session entry point for model-only workloads, bypassing the spec caches.
+    /// file) under `decoder_name`, `budget` and `decode_cache` — the Session
+    /// entry point for model-only workloads, bypassing the spec caches.
     ///
     /// # Errors
     ///
     /// Returns [`ApiError::UnknownDecoder`] when the decoder is not registered.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_ler_on_dem(
         &mut self,
         dem: &DetectorErrorModel,
         decoder_name: &str,
-        budget: prophunt_decoders::ShotBudget,
+        budget: ShotBudget,
         seed: u64,
-        engine: Engine,
         decode_cache: DecodeCache,
         mut observer: impl FnMut(&Event),
     ) -> Result<LerOutcome, ApiError> {
@@ -514,12 +468,11 @@ impl Session {
             kind: JobKind::Ler,
             label: "dem".to_string(),
         });
-        let (estimate, reason) = estimate_with_budget_engine_cached(
+        let (estimate, reason) = estimate_logical_error_rate(
             dem,
             decoder.as_ref(),
             budget,
             seed,
-            engine,
             decode_cache,
             &self.runtime,
             &mut |progress| {
@@ -550,7 +503,6 @@ impl Session {
             noise: None,
             p: 0.0,
             idle: 0.0,
-            engine,
             wall: span.finish(),
         })
     }
@@ -560,7 +512,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::spec::{BasisSelection, ExperimentSpec};
-    use prophunt_decoders::ShotBudget;
+    use prophunt_formats::report::ReportRecord;
 
     fn d3_spec() -> ExperimentSpec {
         ExperimentSpec::builder()
@@ -580,23 +532,28 @@ mod tests {
         let spec = d3_spec();
         let job = LerJob::new(spec.clone()).with_budget(ShotBudget::fixed(128));
         let first = session.run_ler_quiet(&job).unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.dems_built, 1);
-        assert_eq!(stats.decoders_built, 1);
+        let snap = session.metrics();
+        assert_eq!(snap.counter("session.cache.dem.miss"), 1);
+        assert_eq!(snap.counter("session.cache.decoder.miss"), 1);
         let second = session.run_ler_quiet(&job).unwrap();
         assert_eq!(first.combined, second.combined, "cached rerun must agree");
-        let stats = session.stats();
-        assert_eq!(stats.dems_built, 1, "model must be reused");
-        assert_eq!(stats.decoders_built, 1, "decoder must be reused");
-        assert!(stats.dem_hits >= 1 && stats.decoder_hits >= 1);
+        let snap = session.metrics();
+        assert_eq!(snap.counter("session.cache.dem.miss"), 1, "model reused");
+        assert_eq!(
+            snap.counter("session.cache.decoder.miss"),
+            1,
+            "decoder reused"
+        );
+        assert!(snap.counter("session.cache.dem.hit") >= 1);
+        assert!(snap.counter("session.cache.decoder.hit") >= 1);
         // A different decoder on the same model reuses the DEM but builds a new
         // decoder instance.
         let union = LerJob::new(spec.with_decoder("unionfind")).with_budget(ShotBudget::fixed(128));
         session.run_ler_quiet(&union).unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.dems_built, 1);
-        assert_eq!(stats.decoders_built, 2);
-        assert_eq!(stats.jobs_run, 3);
+        let snap = session.metrics();
+        assert_eq!(snap.counter("session.cache.dem.miss"), 1);
+        assert_eq!(snap.counter("session.cache.decoder.miss"), 2);
+        assert_eq!(snap.counter("session.jobs"), 3);
     }
 
     #[test]
@@ -610,9 +567,17 @@ mod tests {
         session
             .run_ler_quiet(&LerJob::new(si).with_budget(ShotBudget::fixed(64)))
             .unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.experiments_built, 1, "experiment shared across noise");
-        assert_eq!(stats.dems_built, 2, "each noise spec gets its own model");
+        let snap = session.metrics();
+        assert_eq!(
+            snap.counter("session.cache.experiment.miss"),
+            1,
+            "experiment shared across noise"
+        );
+        assert_eq!(
+            snap.counter("session.cache.dem.miss"),
+            2,
+            "each noise spec gets its own model"
+        );
     }
 
     #[test]
@@ -707,12 +672,14 @@ mod tests {
     #[test]
     fn frame_engine_jobs_run_and_record_their_engine() {
         let mut session = session();
-        let spec = d3_spec().with_engine(Engine::Frames);
         let outcome = session
-            .run_ler_quiet(&LerJob::new(spec).with_budget(ShotBudget::fixed(128)))
+            .run_ler_quiet(&LerJob::new(d3_spec()).with_budget(ShotBudget::fixed(128)))
             .unwrap();
-        assert_eq!(outcome.engine, Engine::Frames);
         assert_eq!(outcome.combined.shots, 128);
+        let ReportRecord::Ler { engine, .. } = outcome.to_record("d3") else {
+            panic!("expected a ler record");
+        };
+        assert_eq!(engine, "frames");
     }
 
     #[test]
@@ -729,11 +696,6 @@ mod tests {
         assert_eq!(snap.counter("session.cache.decoder.miss"), 1);
         assert_eq!(snap.counter("session.cache.decoder.hit"), 1);
         assert_eq!(snap.counter("session.jobs"), 2);
-        // The compat view reads the same counters back.
-        let stats = session.stats();
-        assert_eq!(stats.dems_built, 1);
-        assert_eq!(stats.dem_hits, 2);
-        assert_eq!(stats.jobs_run, 2);
         // The shared registry also carries the runtime / LER-engine instruments.
         assert!(snap.counter("ler.shots") >= 256);
         assert!(snap.histogram("job.ler.ns").is_some_and(|h| h.count == 2));
@@ -751,7 +713,6 @@ mod tests {
         let outcome = session.run_ler_quiet(&job).unwrap();
         assert_eq!(outcome.combined.shots, 64);
         assert!(outcome.wall.as_nanos() > 0, "wall clock still measured");
-        assert_eq!(session.stats(), SessionStats::default());
         assert_eq!(session.metrics(), Snapshot::default());
     }
 

@@ -74,7 +74,6 @@ pub struct ExperimentSpec {
     decoder: String,
     rounds: usize,
     basis: BasisSelection,
-    engine: Engine,
     decode_cache: DecodeCache,
 }
 
@@ -125,15 +124,9 @@ impl ExperimentSpec {
         self.basis
     }
 
-    /// Returns the estimation engine (default: [`Engine::Scalar`]).
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Returns the syndrome-dedup decode-cache setting (default:
-    /// [`DecodeCache::On`]). Only the frame engine consults it; results are
-    /// bit-identical either way — the knob exists for A/B timing and as a
-    /// belt-and-braces escape hatch.
+    /// [`DecodeCache::On`]). Results are bit-identical either way — the knob
+    /// exists for A/B timing and as a belt-and-braces escape hatch.
     pub fn decode_cache(&self) -> DecodeCache {
         self.decode_cache
     }
@@ -168,13 +161,6 @@ impl ExperimentSpec {
         spec
     }
 
-    /// Returns a derived spec with a different estimation engine.
-    pub fn with_engine(&self, engine: Engine) -> ExperimentSpec {
-        let mut spec = self.clone();
-        spec.engine = engine;
-        spec
-    }
-
     /// Returns a derived spec with a different decode-cache setting.
     pub fn with_decode_cache(&self, cache: DecodeCache) -> ExperimentSpec {
         let mut spec = self.clone();
@@ -192,7 +178,6 @@ pub struct ExperimentSpecBuilder {
     decoder: String,
     rounds: usize,
     basis: BasisSelection,
-    engine: Engine,
     decode_cache: DecodeCache,
 }
 
@@ -205,7 +190,6 @@ impl Default for ExperimentSpecBuilder {
             decoder: "bposd".to_string(),
             rounds: 3,
             basis: BasisSelection::Z,
-            engine: Engine::Scalar,
             decode_cache: DecodeCache::On,
         }
     }
@@ -283,15 +267,13 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Sets the estimation engine (default: [`Engine::Scalar`]). The frame
-    /// engine samples and decodes 64 shots per machine word; see
-    /// [`prophunt_decoders::Engine`] for the determinism contract.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+    /// Accepts the estimation engine and changes nothing: [`Engine::Frames`]
+    /// is the only engine. Kept so that callers which pin it keep compiling.
+    pub fn engine(self, _engine: Engine) -> Self {
         self
     }
 
-    /// Sets the frame engine's syndrome-dedup decode cache (default:
+    /// Sets the estimation engine's syndrome-dedup decode cache (default:
     /// [`DecodeCache::On`]). Results are bit-identical either way; see
     /// [`prophunt_decoders::decode_shots_cached`].
     pub fn decode_cache(mut self, cache: DecodeCache) -> Self {
@@ -336,7 +318,6 @@ impl ExperimentSpecBuilder {
             decoder: self.decoder,
             rounds: self.rounds,
             basis: self.basis,
-            engine: self.engine,
             decode_cache: self.decode_cache,
         })
     }
@@ -422,23 +403,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_defaults_to_scalar_and_derives_like_the_other_knobs() {
-        let spec = ExperimentSpec::builder()
-            .code_family("surface:3")
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(spec.engine(), Engine::Scalar);
-        let frames = spec.with_engine(Engine::Frames);
-        assert_eq!(frames.engine(), Engine::Frames);
-        assert_eq!(frames.decoder(), spec.decoder());
-        let built = ExperimentSpec::builder()
+    fn engine_knob_is_accepted_and_changes_nothing() {
+        let pinned = ExperimentSpec::builder()
             .code_family("surface:3")
             .unwrap()
             .engine(Engine::Frames)
             .build()
             .unwrap();
-        assert_eq!(built.engine(), Engine::Frames);
+        let default = ExperimentSpec::builder()
+            .code_family("surface:3")
+            .unwrap()
+            .build()
+            .unwrap();
+        assert_eq!(format!("{pinned:?}"), format!("{default:?}"));
     }
 
     #[test]
@@ -451,7 +428,7 @@ mod tests {
         assert_eq!(spec.decode_cache(), DecodeCache::On);
         let off = spec.with_decode_cache(DecodeCache::Off);
         assert_eq!(off.decode_cache(), DecodeCache::Off);
-        assert_eq!(off.engine(), spec.engine());
+        assert_eq!(off.decoder(), spec.decoder());
         let built = ExperimentSpec::builder()
             .code_family("surface:3")
             .unwrap()

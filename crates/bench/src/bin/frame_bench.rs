@@ -1,17 +1,20 @@
-//! Scalar vs bit-parallel frame-engine LER throughput on the Table 1 code suite.
+//! Per-shot reference vs bit-parallel frame-engine LER throughput on the
+//! Table 1 code suite.
 //!
 //! This is the bench behind the frame engine's acceptance claim. For every
-//! benchmark code it runs the same fixed shot budget through
-//! [`estimate_with_budget_engine`] twice — once with [`Engine::Scalar`] (one
-//! sampled shot, one `decode` call at a time) and once with [`Engine::Frames`]
-//! (64 shots per word: `sample_frames` → `transpose_lane_words` →
-//! `decode_batch`) — at the Table 1 operating point (p = 1e-3) with the
-//! production decoder per family: union-find on the matchable surface codes,
-//! BP+OSD on the LDPC codes.
+//! benchmark code it runs the same fixed shot budget twice — once through the
+//! per-shot oracle [`reference::per_shot_estimate`] (one sampled shot, one
+//! `decode` call at a time) and once through the engine,
+//! [`estimate_logical_error_rate`] (64 shots per word: `sample_frames` →
+//! `transpose_lane_words` → the batch decode pipeline) — at the Table 1
+//! operating point (p = 1e-3) with the production decoder per family:
+//! union-find on the matchable surface codes, BP+OSD on the LDPC codes. The
+//! report keeps its `scalar_*` field names for the reference side, so the
+//! format stays stable.
 //!
 //! What the frame engine can and cannot speed up: it eliminates per-shot
 //! sampling cost (geometric-skip word sampling), per-shot allocation, and
-//! per-shot scratch resets — so codes whose scalar path is dominated by those
+//! per-shot scratch resets — so codes whose per-shot path is dominated by those
 //! overheads (the union-find surface rows) gain 5-10x. On the LDPC rows its
 //! decode stage is the three-layer batch pipeline: the zero-syndrome fast
 //! path, the per-chunk syndrome-dedup cache (each distinct syndrome decoded
@@ -19,21 +22,21 @@
 //! structure-of-arrays lane-parallel BP core with convergence-based lane
 //! retirement plus the reused-workspace eliminator-matrix OSD-0 for the
 //! non-converged residue. All three layers are bit-identity-preserving, so
-//! every layer's win is bounded by the decode *arithmetic* both engines
+//! every layer's win is bounded by the decode *arithmetic* both paths
 //! share: at the Table 1 operating point `bb_72_12`'s chunks contain almost
 //! no repeated syndromes (the row reports `distinct_syndromes`), min-sum BP
-//! plus OSD dominate both engines, and the row — with it the LDPC and suite
+//! plus OSD dominate both paths, and the row — with it the LDPC and suite
 //! aggregates — is Amdahl-capped near ~1.7-2x. The per-bucket floors in
 //! [`BUCKET_GATES`] are set at that honest level (with headroom for run-to-
 //! run machine variance); the headline gate remains the surface (union-find)
 //! sub-aggregate `>= 5x`.
 //!
-//! The two engines lay out the per-chunk RNG stream differently (shot-major vs
+//! The two paths lay out the per-chunk RNG stream differently (shot-major vs
 //! mechanism-major), so their failure counts legitimately differ; the
 //! correctness gate is *same-frames decode parity*: on identical sampled error
 //! frames, the frame pipeline's per-shot predictions — and hence its failure
-//! count — must equal the scalar `decode` path's exactly. The bin asserts that
-//! for every code and aborts loudly otherwise (this is the CI smoke
+//! count — must equal the per-shot `decode` path's exactly. The bin asserts
+//! that for every code and aborts loudly otherwise (this is the CI smoke
 //! assertion). The committed `BENCH_frames.json` records the full-profile run;
 //! `PROPHUNT_SMOKE=1` trims the shot budget and skips the timing gates (the
 //! parity assertion always runs).
@@ -42,8 +45,8 @@ use prophunt_bench::{benchmark_suite, runtime_config_from_env, stage_seed};
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_decoders::{
-    decode_shots_cached, estimate_with_budget_engine, BpOsdDecoder, DecodeCache, Decoder, Engine,
-    ShotBudget, UnionFindDecoder,
+    decode_shots_cached, estimate_logical_error_rate, reference, BpOsdDecoder, DecodeCache,
+    Decoder, ShotBudget, UnionFindDecoder,
 };
 use prophunt_formats::report::ReportRecord;
 use prophunt_formats::{write_report, Json};
@@ -56,7 +59,7 @@ use std::time::{Duration, Instant};
 /// The surface (union-find) sub-aggregate is the headline: the frame engine
 /// removes that family's dominant per-shot costs outright. The LDPC and
 /// whole-suite aggregates are capped by `bb_72_12`'s BP+OSD arithmetic —
-/// bit-identical work in both engines — so their floors are set at the
+/// bit-identical work on both paths — so their floors are set at the
 /// measured honest level minus headroom for machine variance, not at the
 /// surface headline.
 const BUCKET_GATES: [(usize, &str, f64); 3] = [
@@ -65,7 +68,7 @@ const BUCKET_GATES: [(usize, &str, f64); 3] = [
     (SUITE, "suite", 1.5),
 ];
 
-/// Every per-code row must at least not regress against the scalar engine.
+/// Every per-code row must at least not regress against the per-shot reference.
 const PER_CODE_FLOOR: f64 = 1.0;
 
 /// Aggregation-bucket indices into the wall-clock totals.
@@ -82,7 +85,7 @@ struct FrameRow {
     code: String,
     p: f64,
     shots: usize,
-    scalar: EngineRun,
+    reference: EngineRun,
     frames: EngineRun,
     parity_shots: usize,
     parity_failures: usize,
@@ -95,8 +98,8 @@ struct FrameRow {
 }
 
 impl FrameRow {
-    fn scalar_sps(&self) -> f64 {
-        self.shots as f64 / self.scalar.wall.as_secs_f64().max(1e-12)
+    fn reference_sps(&self) -> f64 {
+        self.shots as f64 / self.reference.wall.as_secs_f64().max(1e-12)
     }
 
     fn frames_sps(&self) -> f64 {
@@ -104,7 +107,7 @@ impl FrameRow {
     }
 
     fn speedup(&self) -> f64 {
-        self.scalar.wall.as_secs_f64() / self.frames.wall.as_secs_f64().max(1e-12)
+        self.reference.wall.as_secs_f64() / self.frames.wall.as_secs_f64().max(1e-12)
     }
 
     fn to_record(&self) -> ReportRecord {
@@ -116,7 +119,7 @@ impl FrameRow {
                 ("shots".into(), Json::UInt(self.shots as u64)),
                 (
                     "scalar_failures".into(),
-                    Json::UInt(self.scalar.failures as u64),
+                    Json::UInt(self.reference.failures as u64),
                 ),
                 (
                     "frames_failures".into(),
@@ -124,7 +127,7 @@ impl FrameRow {
                 ),
                 (
                     "scalar_shots_per_sec".into(),
-                    Json::Float(self.scalar_sps()),
+                    Json::Float(self.reference_sps()),
                 ),
                 (
                     "frames_shots_per_sec".into(),
@@ -202,7 +205,7 @@ fn assert_same_frames_parity(
     }
     assert_eq!(
         scalar_failures, batch_failures,
-        "{name}: engines must report identical failure counts on identical frames"
+        "{name}: both paths must report identical failure counts on identical frames"
     );
     scalar_failures
 }
@@ -212,18 +215,18 @@ fn main() {
     let runtime = runtime_config_from_env();
     let shots = if smoke { 256 } else { 4096 };
     let parity_shots = if smoke { 128 } else { 256 };
-    println!("LER estimation throughput: bit-parallel frame engine vs scalar engine");
+    println!("LER estimation throughput: bit-parallel frame engine vs per-shot reference");
     println!(
-        "  {shots} shots per code and engine, {} threads, chunk {}, seed {} \
+        "  {shots} shots per code and path, {} threads, chunk {}, seed {} \
          (PROPHUNT_SMOKE=1 trims the budget)",
         runtime.threads, runtime.chunk_size, runtime.seed
     );
     println!(
         "{:<14} {:>7} {:>6} {:>12} {:>12} {:>9}  parity",
-        "code", "p", "shots", "scalar sh/s", "frames sh/s", "speedup"
+        "code", "p", "shots", "ref sh/s", "frames sh/s", "speedup"
     );
     let mut records = Vec::new();
-    // (scalar wall, frames wall, shots) per aggregation bucket.
+    // (reference wall, frames wall, shots) per aggregation bucket.
     let mut totals: [(Duration, Duration, usize); 3] = Default::default();
     for (stage, bench) in benchmark_suite(true).into_iter().enumerate() {
         // The Table 1 operating point (p = 1e-3), with the production decoder
@@ -255,25 +258,27 @@ fn main() {
             stage_seed(&runtime, 90 + stage as u64),
         );
 
-        let run = |engine: Engine| {
-            let rt = Runtime::new(runtime);
-            let t = Instant::now();
-            let (estimate, _) = estimate_with_budget_engine(
-                &dem,
-                decoder,
-                ShotBudget::fixed(shots),
-                seed,
-                engine,
-                &rt,
-                &mut |_| {},
-            );
-            EngineRun {
-                failures: estimate.failures,
-                wall: t.elapsed(),
-            }
+        let rt = Runtime::new(runtime);
+        let t = Instant::now();
+        let estimate = reference::per_shot_estimate(&dem, decoder, shots, seed, &rt);
+        let reference = EngineRun {
+            failures: estimate.failures,
+            wall: t.elapsed(),
         };
-        let scalar = run(Engine::Scalar);
-        let frames = run(Engine::Frames);
+        let t = Instant::now();
+        let (estimate, _) = estimate_logical_error_rate(
+            &dem,
+            decoder,
+            ShotBudget::fixed(shots),
+            seed,
+            DecodeCache::On,
+            &rt,
+            &mut |_| {},
+        );
+        let frames = EngineRun {
+            failures: estimate.failures,
+            wall: t.elapsed(),
+        };
         // Untimed, observability-enabled frames run for the deterministic
         // batch pipeline profile: how many distinct non-zero syndromes the
         // chunks actually decoded (`ler.decode.cache.miss`) and what fraction
@@ -282,12 +287,12 @@ fn main() {
         let (distinct_syndromes, zero_fraction) = {
             let obs = Obs::enabled();
             let rt = Runtime::with_obs(runtime, obs.clone());
-            estimate_with_budget_engine(
+            estimate_logical_error_rate(
                 &dem,
                 decoder,
                 ShotBudget::fixed(shots),
                 seed,
-                Engine::Frames,
+                DecodeCache::On,
                 &rt,
                 &mut |_| {},
             );
@@ -301,7 +306,7 @@ fn main() {
             code: bench.code.name().to_string(),
             p,
             shots,
-            scalar,
+            reference,
             frames,
             parity_shots,
             parity_failures,
@@ -314,7 +319,7 @@ fn main() {
             row.code,
             row.p,
             row.shots,
-            row.scalar_sps(),
+            row.reference_sps(),
             row.frames_sps(),
             row.speedup(),
             row.parity_failures,
@@ -330,7 +335,7 @@ fn main() {
         if !smoke {
             assert!(
                 row.speedup() >= PER_CODE_FLOOR,
-                "frame engine must not be slower than scalar on {}",
+                "frame engine must not be slower than the per-shot reference on {}",
                 row.code
             );
         }
@@ -340,26 +345,26 @@ fn main() {
             LDPC
         };
         for bucket in [family, SUITE] {
-            totals[bucket].0 += row.scalar.wall;
+            totals[bucket].0 += row.reference.wall;
             totals[bucket].1 += row.frames.wall;
             totals[bucket].2 += row.shots;
         }
         records.push(row.to_record());
     }
     for (bucket, label, floor) in BUCKET_GATES {
-        let (scalar, frames, shots) = totals[bucket];
-        let speedup = scalar.as_secs_f64() / frames.as_secs_f64().max(1e-12);
-        let scalar_sps = shots as f64 / scalar.as_secs_f64().max(1e-12);
+        let (reference, frames, shots) = totals[bucket];
+        let speedup = reference.as_secs_f64() / frames.as_secs_f64().max(1e-12);
+        let reference_sps = shots as f64 / reference.as_secs_f64().max(1e-12);
         let frames_sps = shots as f64 / frames.as_secs_f64().max(1e-12);
         println!(
             "{:<14} {:>7} {:>6} {:>12.0} {:>12.0} {:>8.1}x",
-            label, "", shots, scalar_sps, frames_sps, speedup
+            label, "", shots, reference_sps, frames_sps, speedup
         );
         if !smoke {
             assert!(
                 speedup >= floor,
                 "frame engine must deliver >= {floor}x aggregate shots/sec \
-                 over scalar on {label} (got {speedup:.2}x)"
+                 over the per-shot reference on {label} (got {speedup:.2}x)"
             );
         }
         records.push(ReportRecord::Table {
@@ -367,7 +372,7 @@ fn main() {
             fields: vec![
                 ("code".into(), Json::Str(label.into())),
                 ("shots".into(), Json::UInt(shots as u64)),
-                ("scalar_shots_per_sec".into(), Json::Float(scalar_sps)),
+                ("scalar_shots_per_sec".into(), Json::Float(reference_sps)),
                 ("frames_shots_per_sec".into(), Json::Float(frames_sps)),
                 ("speedup".into(), Json::Float(speedup)),
             ],

@@ -6,12 +6,11 @@
 //! every sample/transpose/decode stage) must cost at most a few percent of
 //! frames-engine throughput, and a *disabled* handle must be effectively free.
 //! For every benchmark code it runs the same fixed shot budget through
-//! [`estimate_with_budget_engine`] with [`Engine::Frames`] at the Table 1
-//! operating point (p = 1e-3, production decoder per family), alternating
-//! between a runtime built on [`Obs::disabled`] and one built on
-//! [`Obs::enabled`], and reports the per-code and suite-aggregate overhead of
-//! the enabled registry (minimum wall over the repetitions, so one scheduler
-//! stall cannot bias either side).
+//! [`estimate_logical_error_rate`] at the Table 1 operating point (p = 1e-3,
+//! production decoder per family), alternating between a runtime built on
+//! [`Obs::disabled`] and one built on [`Obs::enabled`], and reports the
+//! per-code and suite-aggregate overhead of the enabled registry (minimum wall
+//! over the repetitions, so one scheduler stall cannot bias either side).
 //!
 //! Two deterministic gates always run, smoke profile included:
 //!
@@ -32,7 +31,7 @@ use prophunt_bench::{benchmark_suite, runtime_config_from_env, stage_seed};
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_decoders::{
-    estimate_with_budget_engine, BpOsdDecoder, Decoder, Engine, ShotBudget, UnionFindDecoder,
+    estimate_logical_error_rate, BpOsdDecoder, DecodeCache, Decoder, ShotBudget, UnionFindDecoder,
 };
 use prophunt_formats::report::ReportRecord;
 use prophunt_formats::{write_report, Json};
@@ -121,12 +120,12 @@ fn main() {
         let run = |obs: &Obs| {
             let rt = Runtime::with_obs(runtime, obs.clone());
             let t = Instant::now();
-            let (estimate, _) = estimate_with_budget_engine(
+            let (estimate, _) = estimate_logical_error_rate(
                 &dem,
                 decoder,
                 ShotBudget::fixed(shots),
                 seed,
-                Engine::Frames,
+                DecodeCache::On,
                 &rt,
                 &mut |_| {},
             );

@@ -7,12 +7,12 @@
 //! frames-engine throughput, and a registry *without* a tracer — the default,
 //! tracing-disabled configuration — must be indistinguishable from the
 //! pre-trace baseline. For every benchmark code it runs the same fixed shot
-//! budget through [`estimate_with_budget_engine`] with [`Engine::Frames`],
-//! alternating three configurations: the untraced enabled registry (the
-//! baseline), a second untraced enabled registry (the tracing-disabled
-//! control — byte-for-byte the same configuration, so its measured "overhead"
-//! bounds timer noise and proves disabled tracing adds nothing), and the
-//! enabled registry with a tracer attached (full tracing).
+//! budget through [`estimate_logical_error_rate`], alternating three
+//! configurations: the untraced enabled registry (the baseline), a second
+//! untraced enabled registry (the tracing-disabled control — byte-for-byte the
+//! same configuration, so its measured "overhead" bounds timer noise and
+//! proves disabled tracing adds nothing), and the enabled registry with a
+//! tracer attached (full tracing).
 //!
 //! Deterministic gates always run, smoke profile included:
 //!
@@ -36,7 +36,7 @@ use prophunt_bench::{benchmark_suite, runtime_config_from_env, stage_seed};
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_decoders::{
-    estimate_with_budget_engine, BpOsdDecoder, Decoder, Engine, ShotBudget, UnionFindDecoder,
+    estimate_logical_error_rate, BpOsdDecoder, DecodeCache, Decoder, ShotBudget, UnionFindDecoder,
 };
 use prophunt_formats::report::ReportRecord;
 use prophunt_formats::{write_report, write_schedule, Json};
@@ -220,12 +220,12 @@ fn main() {
         let run = |obs: &Obs| {
             let rt = Runtime::with_obs(runtime, obs.clone());
             let t = Instant::now();
-            let (estimate, _) = estimate_with_budget_engine(
+            let (estimate, _) = estimate_logical_error_rate(
                 &dem,
                 decoder,
                 ShotBudget::fixed(shots),
                 seed,
-                Engine::Frames,
+                DecodeCache::On,
                 &rt,
                 &mut |_| {},
             );

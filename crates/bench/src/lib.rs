@@ -39,21 +39,37 @@ use std::path::PathBuf;
 /// `(seed, chunk_size)` alone. The base seed is mixed with each stage's
 /// fixed label through [`stage_seed`], so `PROPHUNT_SEED` rotates every
 /// random stream a binary draws while stages stay decorrelated.
+///
+/// The rules match the CLI's `--threads` / `--chunk-size` / `--seed` flags: a
+/// value that is not a decimal integer, or a zero thread count or chunk
+/// size, prints a message and exits with code 2 rather than silently running
+/// a different configuration.
 pub fn runtime_config_from_env() -> RuntimeConfig {
-    fn env_parse(name: &str) -> Option<u64> {
-        std::env::var(name).ok().and_then(|v| v.parse().ok())
-    }
-    let mut config = RuntimeConfig::new(8, RuntimeConfig::DEFAULT_CHUNK_SIZE, 0);
-    if let Some(threads) = env_parse("PROPHUNT_THREADS") {
-        config.threads = threads as usize;
-    }
-    if let Some(chunk) = env_parse("PROPHUNT_CHUNK_SIZE") {
-        config.chunk_size = chunk as usize;
-    }
-    if let Some(seed) = env_parse("PROPHUNT_SEED") {
-        config.seed = seed;
-    }
-    config
+    runtime_config_from_vars(|name| std::env::var(name).ok()).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// The parse rules of [`runtime_config_from_env`] over any variable lookup.
+fn runtime_config_from_vars(var: impl Fn(&str) -> Option<String>) -> Result<RuntimeConfig, String> {
+    let parse = |name: &str, default: u64, min: u64| match var(name) {
+        None => Ok(default),
+        Some(raw) => match raw.parse::<u64>() {
+            Ok(value) if value >= min => Ok(value),
+            Ok(_) => Err(format!("{name} must be at least {min}, got {raw:?}")),
+            Err(_) => Err(format!("{name} must be a decimal integer, got {raw:?}")),
+        },
+    };
+    Ok(RuntimeConfig::new(
+        parse("PROPHUNT_THREADS", 8, 1)? as usize,
+        parse(
+            "PROPHUNT_CHUNK_SIZE",
+            RuntimeConfig::DEFAULT_CHUNK_SIZE as u64,
+            1,
+        )? as usize,
+        parse("PROPHUNT_SEED", 0, 0)?,
+    ))
 }
 
 /// Opens the one [`Session`] a bench binary shares across all of its jobs.
@@ -454,17 +470,61 @@ mod tests {
             ShotBudget::fixed(128),
             1,
         );
-        let stats = session.stats();
+        let snap = session.metrics();
         assert_eq!(
-            stats.experiments_built, 2,
+            snap.counter("session.cache.experiment.miss"),
+            2,
             "one experiment per basis, shared across the two noise points"
         );
-        assert_eq!(stats.dems_built, 4, "one model per (basis, noise)");
+        assert_eq!(
+            snap.counter("session.cache.dem.miss"),
+            4,
+            "one model per (basis, noise)"
+        );
         // The recorded outcome carries the throughput fields for BENCH_*.jsonl.
         let record = a.to_record("point");
         let ReportRecord::Ler { wall_s, .. } = record else {
             panic!("expected a ler record");
         };
         assert!(wall_s >= 0.0);
+    }
+
+    #[test]
+    fn runtime_env_rejects_unparseable_and_zero_values() {
+        let config = |vars: &[(&str, &str)]| {
+            runtime_config_from_vars(|name| {
+                vars.iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, v)| v.to_string())
+            })
+        };
+        assert_eq!(
+            config(&[]),
+            Ok(RuntimeConfig::new(8, RuntimeConfig::DEFAULT_CHUNK_SIZE, 0))
+        );
+        assert_eq!(
+            config(&[
+                ("PROPHUNT_THREADS", "2"),
+                ("PROPHUNT_CHUNK_SIZE", "64"),
+                ("PROPHUNT_SEED", "16"),
+            ]),
+            Ok(RuntimeConfig::new(2, 64, 16))
+        );
+        // Seed 0 is a valid seed; a zero thread count or chunk size is not.
+        assert_eq!(
+            config(&[("PROPHUNT_SEED", "0")]),
+            Ok(RuntimeConfig::new(8, RuntimeConfig::DEFAULT_CHUNK_SIZE, 0))
+        );
+        for (name, value) in [
+            ("PROPHUNT_SEED", "0x10"),
+            ("PROPHUNT_SEED", ""),
+            ("PROPHUNT_THREADS", "-1"),
+            ("PROPHUNT_THREADS", "0"),
+            ("PROPHUNT_CHUNK_SIZE", "0"),
+            ("PROPHUNT_CHUNK_SIZE", "1e3"),
+        ] {
+            let err = config(&[(name, value)]).unwrap_err();
+            assert!(err.contains(name), "{name}={value:?}: {err}");
+        }
     }
 }

@@ -385,7 +385,7 @@ impl DetectorErrorModel {
     ///
     /// The first call flattens the mechanism list into shared `SamplerTables`;
     /// every subsequent call is O(1) (an [`std::sync::Arc`] clone plus RNG
-    /// seeding). The estimation engines create one sampler per chunk, so this
+    /// seeding). The estimation engine creates one sampler per chunk, so this
     /// must stay cheap.
     pub fn sampler(&self, seed: u64) -> DemSampler {
         let tables = self
@@ -433,7 +433,7 @@ struct SampleGroup {
 /// skipping over (mechanism, lane) trials — expected cost proportional to the
 /// number of *fired* events — instead of drawing a Bernoulli word per
 /// mechanism.
-const GEOMETRIC_SKIP_MAX_P: f64 = 0.02;
+pub const GEOMETRIC_SKIP_MAX_P: f64 = 0.02;
 
 impl SamplerTables {
     fn build(errors: &[ErrorMechanism]) -> Self {
@@ -583,7 +583,7 @@ impl DemSampler {
     /// Fired events XOR the mechanism's detector and observable signature into
     /// the fired lanes. The RNG stream is therefore laid out group- and
     /// mechanism-major, unlike the shot-major stream of [`DemSampler::sample`]
-    /// — each layout is deterministic per seed, but the two engines produce
+    /// — each layout is deterministic per seed, but the two produce
     /// different (equally valid) shot sequences.
     ///
     /// The frame buffers are cleared before sampling; lanes `>= lanes` stay
@@ -973,7 +973,7 @@ mod tests {
 
     #[test]
     fn frame_sampling_matches_scalar_sampling_statistics() {
-        // The two engines draw different streams (and the frame path mixes
+        // The two sampling paths draw different streams (and the frame path mixes
         // geometric skipping with Bernoulli words), but the per-shot law is the
         // same — so the mean number of flipped detectors must agree.
         let (_, exp) = d3_experiment(3);

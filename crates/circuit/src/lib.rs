@@ -48,7 +48,7 @@ pub mod ops;
 pub mod schedule;
 
 pub use builder::{MemoryBasis, MemoryExperiment};
-pub use dem::{DemSampler, DetectorErrorModel, ErrorMechanism, FaultSource};
+pub use dem::{DemSampler, DetectorErrorModel, ErrorMechanism, FaultSource, GEOMETRIC_SKIP_MAX_P};
 pub use noise::NoiseModel;
 pub use ops::{Circuit, Op};
 pub use schedule::eval::{EvalOp, Move, ScheduleEval};

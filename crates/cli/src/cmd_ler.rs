@@ -5,10 +5,10 @@
 use crate::args::{CliError, Flags};
 use crate::common::{
     append_records, basis_selection_from_flags, budget_from_flags, decode_cache_from_flags,
-    decoder_from_flags, engine_from_flags, load_code, load_schedule, meta_record, noise_from_flags,
-    read_file, runtime_from_flags, session_from_flags, write_metrics_file, write_trace_files,
+    decoder_from_flags, load_code, load_schedule, meta_record, noise_from_flags, read_file,
+    runtime_from_flags, session_from_flags, write_metrics_file, write_trace_files,
 };
-use prophunt_api::{ExperimentSpec, LerJob, LerOutcome, ScheduleSource, StopReason};
+use prophunt_api::{Engine, ExperimentSpec, LerJob, LerOutcome, ScheduleSource, StopReason};
 use prophunt_formats::parse_dem;
 use prophunt_formats::report::ReportRecord;
 
@@ -26,10 +26,7 @@ prophunt ler --code <family-or-spec-file> [--schedule <s>] [options]
   --noise         full noise spec for --code (depolarizing:<p>[:<idle>],
                   si1000:<p>, biased:<p>:<eta>[:<idle>]); conflicts with --p/--idle
   --decoder       decoder name: bposd (default) or unionfind
-  --engine        estimation engine: scalar (default) or frames (bit-parallel,
-                  64 shots per word; each engine is deterministic per seed, but
-                  the two use different RNG stream layouts)
-  --decode-cache  frames-engine syndrome-dedup cache: on (default) or off;
+  --decode-cache  syndrome-dedup decode cache: on (default) or off;
                   results are bit-identical either way (A/B timing knob)
   --shots         Monte-Carlo shot cap (default 2000)
   --max-failures  stop at the chunk where this many failures accumulate
@@ -63,7 +60,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "idle",
             "noise",
             "decoder",
-            "engine",
             "decode-cache",
             "shots",
             "max-failures",
@@ -80,11 +76,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let runtime = runtime_from_flags(&flags)?;
     let budget = budget_from_flags(&flags, 2000)?;
     let decoder = decoder_from_flags(&flags);
-    let engine = engine_from_flags(&flags)?;
     let decode_cache = decode_cache_from_flags(&flags)?;
     let (mut session, trace) = session_from_flags(&flags, runtime);
 
-    let meta = meta_record(&runtime, engine.as_str());
+    let meta = meta_record(&runtime, Engine::Frames.as_str());
     let mut records = vec![meta.clone()];
     match (flags.get("dem"), flags.get("code")) {
         (Some(path), None) => {
@@ -100,15 +95,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             let dem = parse_dem(&read_file(path)?)
                 .map_err(|e| CliError::failure(format!("{path}: {e}")))?;
             let outcome = session
-                .run_ler_on_dem(
-                    &dem,
-                    &decoder,
-                    budget,
-                    runtime.seed,
-                    engine,
-                    decode_cache,
-                    |_| {},
-                )
+                .run_ler_on_dem(&dem, &decoder, budget, runtime.seed, decode_cache, |_| {})
                 .map_err(CliError::failure)?;
             let label = flags.get("label").unwrap_or(path);
             records.push(outcome.to_record(label));
@@ -128,7 +115,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                 .schedule(ScheduleSource::Explicit(schedule))
                 .noise(noise)
                 .decoder(&decoder)
-                .engine(engine)
                 .decode_cache(decode_cache)
                 .rounds(rounds)
                 .basis(basis)

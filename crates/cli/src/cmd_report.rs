@@ -360,8 +360,9 @@ mod tests {
 
     #[test]
     fn bp_convergence_rate_needs_batch_counters() {
-        // A scalar-engine stream has no ler.decode.* counters: no convergence
-        // rate row, and no division by an all-zero total.
+        // A stream recorded by the retired scalar engine has no ler.decode.*
+        // counters: no convergence rate row, and no division by an all-zero
+        // total.
         let counters = vec![("ler.shots".to_string(), 4096u64)];
         assert!(derived_rates(&counters).is_empty());
         let zeroed = vec![

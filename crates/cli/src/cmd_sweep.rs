@@ -8,11 +8,10 @@
 
 use crate::args::{CliError, Flags};
 use crate::common::{
-    append_records, basis_selection_from_flags, budget_from_flags, engine_from_flags, load_code,
-    load_schedule, meta_record, runtime_from_flags, session_from_flags, write_metrics_file,
-    write_trace_files,
+    append_records, basis_selection_from_flags, budget_from_flags, load_code, load_schedule,
+    meta_record, runtime_from_flags, session_from_flags, write_metrics_file, write_trace_files,
 };
-use prophunt_api::{ExperimentSpec, LerJob, NoiseSpec, ScheduleSource};
+use prophunt_api::{Engine, ExperimentSpec, LerJob, NoiseSpec, ScheduleSource};
 
 pub const USAGE: &str = "\
 prophunt sweep --codes <fam1,fam2,...> [options]
@@ -25,8 +24,6 @@ prophunt sweep --codes <fam1,fam2,...> [options]
   --schedule      coloration (default) or hand (surface codes only)
   --basis         z (default), x, or both
   --rounds        syndrome-measurement rounds (default 3)
-  --engine        estimation engine for every grid point: scalar (default)
-                  or frames (bit-parallel, 64 shots per word)
   --shots         shot cap per grid point (default 2000)
   --max-failures  adaptive stop: failures per grid point
   --target-rse    adaptive stop: relative standard error per grid point
@@ -70,7 +67,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "schedule",
             "basis",
             "rounds",
-            "engine",
             "shots",
             "max-failures",
             "target-rse",
@@ -119,13 +115,12 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage("--rounds must be at least 1"));
     }
     let budget = budget_from_flags(&flags, 2000)?;
-    let engine = engine_from_flags(&flags)?;
     let runtime = runtime_from_flags(&flags)?;
 
     // One session for the whole grid: experiments are shared across p's and
     // models across decoders.
     let (mut session, trace) = session_from_flags(&flags, runtime);
-    let meta = meta_record(&runtime, engine.as_str());
+    let meta = meta_record(&runtime, Engine::Frames.as_str());
     let mut text = String::new();
     let meta_line = meta.to_json_line();
     text.push_str(&meta_line);
@@ -139,7 +134,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             .schedule(ScheduleSource::Explicit(schedule))
             .rounds(rounds)
             .basis(basis)
-            .engine(engine)
             .build()
             .map_err(CliError::failure)?;
         for &p in &ps {
@@ -164,13 +158,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let stats = session.stats();
+    let snap = session.metrics();
     eprintln!(
         "sweep: {} grid points; {} experiments and {} models built ({} model cache hits)",
         codes.len() * ps.len() * decoders.len(),
-        stats.experiments_built,
-        stats.dems_built,
-        stats.dem_hits,
+        snap.counter("session.cache.experiment.miss"),
+        snap.counter("session.cache.dem.miss"),
+        snap.counter("session.cache.dem.hit"),
     );
     if let Some(path) = flags.get("out") {
         append_records(path, &text)?;

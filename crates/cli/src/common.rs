@@ -269,16 +269,6 @@ pub fn decoder_from_flags(flags: &Flags) -> String {
     flags.get("decoder").unwrap_or("bposd").to_string()
 }
 
-/// Parses `--engine` into a [`prophunt_api::Engine`] (default scalar).
-pub fn engine_from_flags(flags: &Flags) -> Result<prophunt_api::Engine, CliError> {
-    match flags.get("engine") {
-        None => Ok(prophunt_api::Engine::Scalar),
-        Some(name) => prophunt_api::Engine::parse(name).ok_or_else(|| {
-            CliError::usage(format!("--engine must be scalar or frames, got {name:?}"))
-        }),
-    }
-}
-
 /// Parses `--decode-cache` into a [`prophunt_api::DecodeCache`] (default on).
 pub fn decode_cache_from_flags(flags: &Flags) -> Result<prophunt_api::DecodeCache, CliError> {
     match flags.get("decode-cache") {

@@ -8,28 +8,25 @@
 //! `(seed, chunk_size)` gives bit-identical failure counts at any thread count —
 //! including runs that stop early.
 //!
-//! Two per-chunk kernels implement the same contract behind the [`Engine`]
-//! selector: the scalar kernel samples and decodes one shot at a time, while the
-//! bit-parallel *frame* kernel packs 64 shots per machine word
-//! ([`DemSampler::sample_frames`](prophunt_circuit::DemSampler::sample_frames)),
+//! Each chunk runs the bit-parallel *frame* kernel: it packs 64 shots per machine
+//! word ([`DemSampler::sample_frames`](prophunt_circuit::DemSampler::sample_frames)),
 //! transposes the frames into per-shot syndromes and decodes the whole chunk
 //! through the batch pipeline ([`decode_shots_cached`]): zero-syndrome fast
 //! path, per-chunk syndrome-dedup cache, then [`Decoder::decode_batch`] on the
-//! distinct residue. Each engine is a pure function of `(seed, chunk_size)`,
-//! but the two lay out the chunk's RNG stream differently (shot-major vs
-//! mechanism-major), so their shot sequences — and hence failure counts —
-//! differ; what is identical across engines is the per-shot decode result on
-//! the same error frames. The pipeline's tallies surface as the deterministic
+//! distinct residue. The pipeline's tallies surface as the deterministic
 //! `ler.decode.{zero,cache.hit,cache.miss,bp.converged,osd.calls}` counters,
 //! incremented — like every LER counter — only in the in-order adaptive scan.
+//!
+//! The per-shot loop (one `sample_into`, one [`Decoder::decode`] per shot)
+//! survives only as the [`reference`](crate::reference) oracle.
 
 use crate::batch::{decode_shots_cached, DecodeCache, DecodeStats};
 use crate::Decoder;
 use prophunt_circuit::DetectorErrorModel;
 use prophunt_gf2::{transpose_lane_words, BitVec};
-use prophunt_obs::{duration_ns, Histogram, Obs};
+use prophunt_obs::{duration_ns, Histogram, Obs, Tracer};
 use prophunt_runtime::{Runtime, SeedStream};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The result of a Monte-Carlo logical-error-rate estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,7 +179,7 @@ impl LerStopReason {
 }
 
 /// Cumulative progress after one completed chunk, reported to the observer of
-/// [`estimate_with_budget`] in chunk-index order.
+/// [`estimate_logical_error_rate`] in chunk-index order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkProgress {
     /// Index of the chunk that just completed (0-based).
@@ -193,61 +190,48 @@ pub struct ChunkProgress {
     pub failures: usize,
 }
 
-/// Which per-chunk sampling/decoding kernel an estimation run uses.
+/// The estimation engine, as recorded in the `engine` field of report records.
 ///
-/// Both engines satisfy the same determinism contract — results are a pure
-/// function of `(seed, chunk_size, engine)` at any thread count — and both spend
-/// exactly one RNG draw per error mechanism per shot. They lay that stream out
-/// differently (scalar: shot-major; frames: mechanism-major within each 64-shot
-/// block), so the two engines sample *different* shot sequences for the same
-/// seed and are not expected to report identical failure counts. On the same
-/// error frames their per-shot decode results are identical.
+/// The bit-parallel frame kernel is the only engine. The type remains so that
+/// reports keep naming the engine their counts came from, and so that callers
+/// pinning [`Engine::Frames`] keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// Sample and decode one shot at a time.
+    /// Sample 64 shots per machine word, transpose, and batch-decode through
+    /// [`decode_shots_cached`].
     #[default]
-    Scalar,
-    /// Bit-parallel kernel: sample 64 shots per machine word, transpose, and
-    /// batch-decode via [`Decoder::decode_batch`].
     Frames,
 }
 
 impl Engine {
-    /// A stable machine-readable name (used in report records and CLI flags).
+    /// A stable machine-readable name (used in report records).
     pub fn as_str(&self) -> &'static str {
         match self {
-            Engine::Scalar => "scalar",
             Engine::Frames => "frames",
         }
     }
-
-    /// Parses the name produced by [`Engine::as_str`].
-    pub fn parse(name: &str) -> Option<Engine> {
-        match name {
-            "scalar" => Some(Engine::Scalar),
-            "frames" => Some(Engine::Frames),
-            _ => None,
-        }
-    }
 }
 
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        Engine::parse(s).ok_or_else(|| format!("unknown engine '{s}' (expected scalar|frames)"))
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+/// The deterministic LER counters, in the order [`ChunkResult::counts`]
+/// tallies them.
+const LER_COUNTERS: [&str; 8] = [
+    "ler.chunks",
+    "ler.shots",
+    "ler.failures",
+    "ler.decode.zero",
+    "ler.decode.cache.hit",
+    "ler.decode.cache.miss",
+    "ler.decode.bp.converged",
+    "ler.decode.osd.calls",
+];
 
 /// Estimates the logical error rate of `decoder` on shots sampled from `dem`,
 /// spending at most `budget` and stopping early when the budget's adaptive rule is
 /// satisfied.
+///
+/// A shot counts as a failure when the predicted observable flips differ from the true
+/// flips in *any* logical observable (the paper's per-shot logical error, covering both
+/// X and Z logicals when both experiments' estimates are combined).
 ///
 /// Chunks are evaluated in parallel waves, but the stopping rule is applied by
 /// scanning completed chunks *in chunk-index order*, so the returned estimate (and
@@ -257,71 +241,18 @@ impl std::fmt::Display for Engine {
 /// equivalent [`ShotBudget::Fixed`] run, where `k` is the first chunk satisfying
 /// the rule.
 ///
-/// Equivalent to [`estimate_with_budget_engine`] with [`Engine::Scalar`].
+/// `cache` switches the batch pipeline's syndrome-dedup cache. The cache is
+/// bit-identity-preserving (every prediction is a pure function of its
+/// syndrome), so the estimate is the same for both settings — which is exactly
+/// what the knob makes checkable; only wall-clock and the `ler.decode.*`
+/// counters differ.
 ///
 /// `observer` is invoked once per counted chunk with the cumulative progress.
-pub fn estimate_with_budget(
+pub fn estimate_logical_error_rate(
     dem: &DetectorErrorModel,
     decoder: &dyn Decoder,
     budget: ShotBudget,
     seed: u64,
-    runtime: &Runtime,
-    observer: &mut dyn FnMut(ChunkProgress),
-) -> (LogicalErrorEstimate, LerStopReason) {
-    estimate_with_budget_engine(
-        dem,
-        decoder,
-        budget,
-        seed,
-        Engine::Scalar,
-        runtime,
-        observer,
-    )
-}
-
-/// [`estimate_with_budget`] with an explicit [`Engine`] selecting the per-chunk
-/// kernel.
-///
-/// The chunk structure (boundaries, seeds, in-order adaptive scan) is identical
-/// for both engines; only the kernel that turns a `(chunk_shots, chunk_seed)`
-/// pair into a failure count differs. A fixed `(seed, chunk_size, engine)` is
-/// bit-identical at any thread count.
-pub fn estimate_with_budget_engine(
-    dem: &DetectorErrorModel,
-    decoder: &dyn Decoder,
-    budget: ShotBudget,
-    seed: u64,
-    engine: Engine,
-    runtime: &Runtime,
-    observer: &mut dyn FnMut(ChunkProgress),
-) -> (LogicalErrorEstimate, LerStopReason) {
-    estimate_with_budget_engine_cached(
-        dem,
-        decoder,
-        budget,
-        seed,
-        engine,
-        DecodeCache::default(),
-        runtime,
-        observer,
-    )
-}
-
-/// [`estimate_with_budget_engine`] with an explicit [`DecodeCache`] knob for
-/// the frames engine's batch decode pipeline.
-///
-/// The cache is bit-identity-preserving (every prediction is a pure function
-/// of its syndrome), so the returned estimate is the same for both settings —
-/// which is exactly what the knob makes checkable; only wall-clock and the
-/// `ler.decode.*` counters differ. The scalar engine streams shot by shot and
-/// ignores the knob.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_with_budget_engine_cached(
-    dem: &DetectorErrorModel,
-    decoder: &dyn Decoder,
-    budget: ShotBudget,
-    seed: u64,
-    engine: Engine,
     cache: DecodeCache,
     runtime: &Runtime,
     observer: &mut dyn FnMut(ChunkProgress),
@@ -340,21 +271,7 @@ pub fn estimate_with_budget_engine_cached(
     // discarded, so the counted chunk prefix — and every counter — is a pure
     // function of (seed, chunk_size, budget), never of the thread count.
     let obs = runtime.obs();
-    let chunks_ctr = obs.counter("ler.chunks");
-    let shots_ctr = obs.counter("ler.shots");
-    let failures_ctr = obs.counter("ler.failures");
-    // The batch decode pipeline runs in the frames kernel only, so its
-    // counters are registered only there (a scalar run reporting them as
-    // zero would read as "the cache did nothing" rather than "not applicable").
-    let decode_ctr = |name: &str| match engine {
-        Engine::Frames => obs.counter(name),
-        Engine::Scalar => None,
-    };
-    let zero_ctr = decode_ctr("ler.decode.zero");
-    let hit_ctr = decode_ctr("ler.decode.cache.hit");
-    let miss_ctr = decode_ctr("ler.decode.cache.miss");
-    let bp_ctr = decode_ctr("ler.decode.bp.converged");
-    let osd_ctr = decode_ctr("ler.decode.osd.calls");
+    let counters = LER_COUNTERS.map(|name| obs.counter(name));
     while done < total_chunks {
         // One wave of chunks. The wave size is a wall-clock knob only: stopping is
         // decided by an in-order scan below, so overshooting a wave never changes
@@ -363,39 +280,21 @@ pub fn estimate_with_budget_engine_cached(
         let results = runtime.run_tasks(wave, |i| {
             let c = done + i;
             let chunk_shots = chunk.min(max_shots - c * chunk);
-            let chunk_seed = stream.seed_for(c as u64);
-            match engine {
-                Engine::Scalar => run_shots(dem, decoder, chunk_shots, chunk_seed, obs),
-                Engine::Frames => {
-                    run_shots_frames(dem, decoder, chunk_shots, chunk_seed, cache, obs)
-                }
-            }
+            run_chunk(
+                dem,
+                decoder,
+                chunk_shots,
+                stream.seed_for(c as u64),
+                cache,
+                obs,
+            )
         });
         for (i, partial) in results.into_iter().enumerate() {
             cumulative = cumulative.combined(partial.estimate);
-            if let Some(c) = &chunks_ctr {
-                c.inc();
-            }
-            if let Some(c) = &shots_ctr {
-                c.add(partial.estimate.shots as u64);
-            }
-            if let Some(c) = &failures_ctr {
-                c.add(partial.estimate.failures as u64);
-            }
-            if let Some(c) = &zero_ctr {
-                c.add(partial.decode.zero as u64);
-            }
-            if let Some(c) = &hit_ctr {
-                c.add(partial.decode.cache_hits as u64);
-            }
-            if let Some(c) = &miss_ctr {
-                c.add(partial.decode.cache_misses as u64);
-            }
-            if let Some(c) = &bp_ctr {
-                c.add(partial.decode.bp_converged as u64);
-            }
-            if let Some(c) = &osd_ctr {
-                c.add(partial.decode.osd_calls as u64);
+            for (counter, n) in counters.iter().zip(partial.counts()) {
+                if let Some(counter) = counter {
+                    counter.add(n);
+                }
             }
             observer(ChunkProgress {
                 chunk: done + i,
@@ -411,157 +310,83 @@ pub fn estimate_with_budget_engine_cached(
     (cumulative, LerStopReason::ShotsExhausted)
 }
 
-/// One chunk kernel's result: the shot/failure tally plus the batch decode
-/// pipeline's deterministic per-chunk stats (populated by the frames kernel;
-/// the scalar kernel streams shot by shot and reports the all-zero default).
+/// One chunk's result: the shot/failure tally plus the batch decode
+/// pipeline's deterministic per-chunk stats.
 struct ChunkResult {
     estimate: LogicalErrorEstimate,
     decode: DecodeStats,
 }
 
-/// Estimates the logical error rate of `decoder` on `shots` shots sampled from
-/// `dem`.
-///
-/// A shot counts as a failure when the predicted observable flips differ from the true
-/// flips in *any* logical observable (the paper's per-shot logical error, covering both
-/// X and Z logicals when both experiments' estimates are combined).
-///
-/// Equivalent to [`estimate_with_budget`] with [`ShotBudget::Fixed`]; see there for
-/// the chunking and determinism contract.
-pub fn estimate_logical_error_rate(
-    dem: &DetectorErrorModel,
-    decoder: &dyn Decoder,
-    shots: usize,
-    seed: u64,
-    runtime: &Runtime,
-) -> LogicalErrorEstimate {
-    estimate_with_budget(
-        dem,
-        decoder,
-        ShotBudget::fixed(shots),
-        seed,
-        runtime,
-        &mut |_| {},
-    )
-    .0
-}
-
-/// Hoisted histogram handles for one scalar-kernel invocation. `None` when the
-/// runtime carries no registry, in which case the kernel takes the untimed
-/// loop and never reads the clock.
-struct ScalarTiming {
-    sample: Histogram,
-    decode: Histogram,
-}
-
-impl ScalarTiming {
-    fn from_obs(obs: &Obs) -> Option<ScalarTiming> {
-        Some(ScalarTiming {
-            sample: obs.histogram("ler.scalar.sample.ns")?,
-            decode: obs.histogram("ler.scalar.decode.ns")?,
-        })
+impl ChunkResult {
+    /// This chunk's increments of the [`LER_COUNTERS`], in order.
+    fn counts(&self) -> [u64; 8] {
+        [
+            1,
+            self.estimate.shots as u64,
+            self.estimate.failures as u64,
+            self.decode.zero as u64,
+            self.decode.cache_hits as u64,
+            self.decode.cache_misses as u64,
+            self.decode.bp_converged as u64,
+            self.decode.osd_calls as u64,
+        ]
     }
 }
 
-fn run_shots(
-    dem: &DetectorErrorModel,
-    decoder: &dyn Decoder,
-    shots: usize,
-    seed: u64,
-    obs: &Obs,
-) -> ChunkResult {
-    let mut sampler = dem.sampler(seed);
-    let mut detectors = BitVec::zeros(dem.num_detectors());
-    let mut observables = BitVec::zeros(dem.num_observables());
-    let mut failures = 0usize;
-    let timing = ScalarTiming::from_obs(obs);
-    let tracer = obs.tracer();
-    if timing.is_some() || tracer.is_some() {
-        let chunk_trace = tracer.map(|t| t.span("ler.chunk", "ler"));
-        // lint: allow(no-wall-clock) — timing seam: anchors the synthetic
-        // per-stage trace blocks only; shot results never depend on the clock.
-        let chunk_start = Instant::now();
-        // Per-shot stage times are accumulated into chunk-local totals and
-        // recorded once per chunk, so the enabled path adds two clock reads
-        // per shot and two histogram ops per chunk.
-        let mut sample_ns = 0u64;
-        let mut decode_ns = 0u64;
-        for _ in 0..shots {
-            // lint: allow(no-wall-clock) — timing seam: feeds the obs stage
-            // histograms and trace stage blocks only; shot results never
-            // depend on the clock.
-            let t0 = Instant::now();
-            sampler.sample_into(&mut detectors, &mut observables);
-            // lint: allow(no-wall-clock) — timing seam (same stage outputs).
-            let t1 = Instant::now();
-            let failed = decoder.decode(&detectors) != observables;
-            decode_ns += duration_ns(t1.elapsed());
-            sample_ns += duration_ns(t1.duration_since(t0));
-            failures += usize::from(failed);
-        }
-        if shots > 0 {
-            if let Some(timing) = &timing {
-                timing.sample.record(sample_ns);
-                timing.decode.record(decode_ns);
-            }
-            if let Some(t) = tracer {
-                // The per-shot stages interleave, so the timeline shows them
-                // as two back-to-back synthetic blocks anchored at the chunk
-                // start; they nest under the open `ler.chunk` span.
-                t.complete(
-                    "ler.scalar.sample",
-                    "ler.stage",
-                    chunk_start,
-                    sample_ns,
-                    &[],
-                );
-                t.complete(
-                    "ler.scalar.decode",
-                    "ler.stage",
-                    chunk_start + Duration::from_nanos(sample_ns),
-                    decode_ns,
-                    &[],
-                );
-            }
-        }
-        if let Some(mut span) = chunk_trace {
-            span.arg("shots", shots as u64);
-            span.arg("failures", failures as u64);
-            span.finish();
-        }
-    } else {
-        for _ in 0..shots {
-            sampler.sample_into(&mut detectors, &mut observables);
-            if decoder.decode(&detectors) != observables {
-                failures += 1;
-            }
+/// The frame kernel's stages: trace-event name and histogram name, indexed by
+/// [`SAMPLE`], [`TRANSPOSE`] and [`DECODE`].
+const STAGES: [(&str, &str); 3] = [
+    ("ler.frames.sample", "ler.frames.sample.ns"),
+    ("ler.frames.transpose", "ler.frames.transpose.ns"),
+    ("ler.frames.decode", "ler.frames.decode.ns"),
+];
+const SAMPLE: usize = 0;
+const TRANSPOSE: usize = 1;
+const DECODE: usize = 2;
+
+/// A chunk's stage instruments, hoisted once per chunk: a histogram per stage
+/// when the runtime carries a registry, and the tracer when one is attached.
+/// With neither, the kernel never reads the clock.
+struct StageClock<'a> {
+    histograms: [Option<Histogram>; 3],
+    tracer: Option<&'a Tracer>,
+}
+
+impl<'a> StageClock<'a> {
+    fn new(obs: &'a Obs) -> StageClock<'a> {
+        StageClock {
+            histograms: STAGES.map(|(_, histogram)| obs.histogram(histogram)),
+            tracer: obs.tracer(),
         }
     }
-    ChunkResult {
-        estimate: LogicalErrorEstimate { shots, failures },
-        decode: DecodeStats::default(),
+
+    /// Starts a stage: the current instant, or `None` when nothing records.
+    fn start(&self) -> Option<Instant> {
+        let on = self.histograms[SAMPLE].is_some() || self.tracer.is_some();
+        // lint: allow(no-wall-clock) — timing seam: the stamps feed the obs
+        // stage histograms and trace stage blocks only; decode results never
+        // depend on the clock.
+        on.then(Instant::now)
+    }
+
+    /// Ends `stage` begun at `start`, records it, and returns the end instant
+    /// so the next stage can start there.
+    fn lap(&self, stage: usize, start: Option<Instant>, args: &[(&str, u64)]) -> Option<Instant> {
+        let start = start?;
+        // lint: allow(no-wall-clock) — timing seam (same stage outputs).
+        let end = Instant::now();
+        let ns = duration_ns(end.duration_since(start));
+        if let Some(histogram) = &self.histograms[stage] {
+            histogram.record(ns);
+        }
+        if let Some(tracer) = self.tracer {
+            tracer.complete(STAGES[stage].0, "ler.stage", start, ns, args);
+        }
+        Some(end)
     }
 }
 
-/// Hoisted histogram handles for one frame-kernel invocation; one record per
-/// 64-lane block per stage when enabled, nothing when disabled.
-struct FrameTiming {
-    sample: Histogram,
-    transpose: Histogram,
-    decode: Histogram,
-}
-
-impl FrameTiming {
-    fn from_obs(obs: &Obs) -> Option<FrameTiming> {
-        Some(FrameTiming {
-            sample: obs.histogram("ler.frames.sample.ns")?,
-            transpose: obs.histogram("ler.frames.transpose.ns")?,
-            decode: obs.histogram("ler.frames.decode.ns")?,
-        })
-    }
-}
-
-fn run_shots_frames(
+fn run_chunk(
     dem: &DetectorErrorModel,
     decoder: &dyn Decoder,
     shots: usize,
@@ -574,75 +399,30 @@ fn run_shots_frames(
     let mut obs_frames = vec![0u64; dem.num_observables()];
     let mut det_shots: Vec<BitVec> = Vec::with_capacity(shots);
     let mut obs_shots: Vec<BitVec> = Vec::with_capacity(shots);
-    let mut failures = 0usize;
+    let clock = StageClock::new(obs);
+    let chunk_trace = clock.tracer.map(|t| t.span("ler.chunk", "ler"));
+    // Sample and transpose every 64-lane block first, then decode the whole
+    // chunk at once so the syndrome-dedup cache sees the full chunk's
+    // duplicate structure.
     let mut remaining = shots;
-    let timing = FrameTiming::from_obs(obs);
-    let tracer = obs.tracer();
-    let chunk_trace = tracer.map(|t| t.span("ler.chunk", "ler"));
-    // Sample and transpose every 64-lane block first — in the exact
-    // `sample_frames` call order of the per-block pipeline, so the RNG
-    // stream (and therefore the sampled shots) is unchanged — then decode
-    // the whole chunk at once so the syndrome-dedup cache sees the full
-    // chunk's duplicate structure.
     while remaining > 0 {
         let lanes = remaining.min(64);
-        if timing.is_some() || tracer.is_some() {
-            // lint: allow(no-wall-clock) — timing seam: the stamps below feed
-            // the obs stage histograms and trace stage blocks only; decode
-            // results never depend on the clock.
-            let t0 = Instant::now();
-            sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
-            // lint: allow(no-wall-clock) — timing seam (same stage outputs).
-            let t1 = Instant::now();
-            det_shots.extend(transpose_lane_words(&det_frames, lanes));
-            obs_shots.extend(transpose_lane_words(&obs_frames, lanes));
-            let transpose_ns = duration_ns(t1.elapsed());
-            let sample_ns = duration_ns(t1.duration_since(t0));
-            if let Some(timing) = &timing {
-                timing.sample.record(sample_ns);
-                timing.transpose.record(transpose_ns);
-            }
-            if let Some(t) = tracer {
-                // Truthful per-block stage events from the stamps above; one
-                // sample→transpose pair per 64-lane block.
-                t.complete(
-                    "ler.frames.sample",
-                    "ler.stage",
-                    t0,
-                    sample_ns,
-                    &[("lanes", lanes as u64)],
-                );
-                t.complete("ler.frames.transpose", "ler.stage", t1, transpose_ns, &[]);
-            }
-        } else {
-            sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
-            det_shots.extend(transpose_lane_words(&det_frames, lanes));
-            obs_shots.extend(transpose_lane_words(&obs_frames, lanes));
-        }
+        let t = clock.start();
+        sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
+        let t = clock.lap(SAMPLE, t, &[("lanes", lanes as u64)]);
+        det_shots.extend(transpose_lane_words(&det_frames, lanes));
+        obs_shots.extend(transpose_lane_words(&obs_frames, lanes));
+        clock.lap(TRANSPOSE, t, &[]);
         remaining -= lanes;
     }
-    let (predictions, decode) = if timing.is_some() || tracer.is_some() {
-        // lint: allow(no-wall-clock) — timing seam (same stage outputs).
-        let t2 = Instant::now();
-        let result = decode_shots_cached(decoder, &det_shots, cache);
-        let decode_ns = duration_ns(t2.elapsed());
-        if let Some(timing) = &timing {
-            timing.decode.record(decode_ns);
-        }
-        if let Some(t) = tracer {
-            // One chunk-wide decode block: the cache works across lane
-            // blocks, so decode is no longer a per-block stage.
-            t.complete("ler.frames.decode", "ler.stage", t2, decode_ns, &[]);
-        }
-        result
-    } else {
-        decode_shots_cached(decoder, &det_shots, cache)
-    };
-    for (prediction, observed) in predictions.iter().zip(&obs_shots) {
-        if prediction != observed {
-            failures += 1;
-        }
-    }
+    let t = clock.start();
+    let (predictions, decode) = decode_shots_cached(decoder, &det_shots, cache);
+    clock.lap(DECODE, t, &[]);
+    let failures = predictions
+        .iter()
+        .zip(&obs_shots)
+        .filter(|(prediction, observed)| prediction != observed)
+        .count();
     if let Some(mut span) = chunk_trace {
         span.arg("shots", shots as u64);
         span.arg("failures", failures as u64);
@@ -657,9 +437,9 @@ fn run_shots_frames(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BpOsdDecoder;
+    use crate::{reference, BpOsdDecoder, UnionFindDecoder};
     use prophunt_circuit::schedule::ScheduleSpec;
-    use prophunt_circuit::{MemoryBasis, MemoryExperiment, NoiseModel};
+    use prophunt_circuit::{MemoryBasis, MemoryExperiment, NoiseModel, GEOMETRIC_SKIP_MAX_P};
     use prophunt_qec::surface::rotated_surface_code_with_layout;
     use prophunt_runtime::RuntimeConfig;
 
@@ -668,6 +448,36 @@ mod tests {
         let schedule = ScheduleSpec::surface_hand_designed(&code, &layout);
         let exp = MemoryExperiment::build(&code, &schedule, rounds, MemoryBasis::Z).unwrap();
         DetectorErrorModel::from_experiment(&exp, &NoiseModel::uniform_depolarizing(p))
+    }
+
+    /// [`estimate_logical_error_rate`] with the default cache and no observer.
+    fn estimate(
+        dem: &DetectorErrorModel,
+        decoder: &dyn Decoder,
+        budget: ShotBudget,
+        seed: u64,
+        runtime: &Runtime,
+    ) -> (LogicalErrorEstimate, LerStopReason) {
+        estimate_logical_error_rate(
+            dem,
+            decoder,
+            budget,
+            seed,
+            DecodeCache::On,
+            runtime,
+            &mut |_| {},
+        )
+    }
+
+    /// A fixed-budget [`estimate`], without the stop reason.
+    fn fixed(
+        dem: &DetectorErrorModel,
+        decoder: &dyn Decoder,
+        shots: usize,
+        seed: u64,
+        runtime: &Runtime,
+    ) -> LogicalErrorEstimate {
+        estimate(dem, decoder, ShotBudget::fixed(shots), seed, runtime).0
     }
 
     #[test]
@@ -737,7 +547,7 @@ mod tests {
         let dem = surface_dem(3, 3e-3, 3);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(4, 64, 0));
-        let estimate = estimate_logical_error_rate(&dem, &decoder, 400, 7, &runtime);
+        let estimate = fixed(&dem, &decoder, 400, 7, &runtime);
         assert_eq!(estimate.shots, 400);
         // d=3 at p = 0.3% should fail well below 10% of shots.
         assert!(estimate.rate() < 0.1, "rate {}", estimate.rate());
@@ -750,33 +560,30 @@ mod tests {
         let dec_low = BpOsdDecoder::new(&low);
         let dec_high = BpOsdDecoder::new(&high);
         let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-        let e_low = estimate_logical_error_rate(&low, &dec_low, 300, 13, &runtime);
-        let e_high = estimate_logical_error_rate(&high, &dec_high, 300, 13, &runtime);
+        let e_low = fixed(&low, &dec_low, 300, 13, &runtime);
+        let e_high = fixed(&high, &dec_high, 300, 13, &runtime);
         assert!(e_high.failures > e_low.failures);
     }
 
     #[test]
     fn failure_counts_are_identical_across_thread_counts() {
+        // Union-find at a chunk size that is not a multiple of 64, so every
+        // chunk ends in a partial lane block.
         let dem = surface_dem(3, 8e-3, 3);
-        let decoder = BpOsdDecoder::new(&dem);
-        let reference = estimate_logical_error_rate(
-            &dem,
-            &decoder,
-            500,
-            42,
-            &Runtime::new(RuntimeConfig::new(1, 64, 0)),
-        );
-        assert!(reference.failures > 0, "want a nonzero count to compare");
-        for threads in [2, 8] {
-            let estimate = estimate_logical_error_rate(
+        let decoder = UnionFindDecoder::new(&dem);
+        let run = |threads| {
+            fixed(
                 &dem,
                 &decoder,
                 500,
                 42,
-                &Runtime::new(RuntimeConfig::new(threads, 64, 0)),
-            );
-            assert_eq!(estimate.failures, reference.failures, "threads = {threads}");
-            assert_eq!(estimate.shots, reference.shots);
+                &Runtime::new(RuntimeConfig::new(threads, 50, 0)),
+            )
+        };
+        let reference = run(1);
+        assert!(reference.failures > 0, "want a nonzero count to compare");
+        for threads in [2, 8] {
+            assert_eq!(run(threads), reference, "threads = {threads}");
         }
     }
 
@@ -785,11 +592,12 @@ mod tests {
         let dem = surface_dem(3, 8e-3, 2);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-        let (est, stop) = estimate_with_budget(
+        let (est, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
             ShotBudget::fixed(0),
             1,
+            DecodeCache::On,
             &runtime,
             &mut |_| panic!("no chunks expected"),
         );
@@ -804,11 +612,12 @@ mod tests {
         let runtime = Runtime::new(RuntimeConfig::new(4, 32, 0));
         // Reference: a fixed run, recording the cumulative tally after each chunk.
         let mut prefix = Vec::new();
-        let (full, stop) = estimate_with_budget(
+        let (full, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
             ShotBudget::fixed(960),
             5,
+            DecodeCache::On,
             &runtime,
             &mut |p| prefix.push(p),
         );
@@ -820,7 +629,7 @@ mod tests {
             .iter()
             .find(|p| p.failures >= max_failures)
             .expect("threshold below the total must be crossed");
-        let (adaptive, stop) = estimate_with_budget(
+        let (adaptive, stop) = estimate(
             &dem,
             &decoder,
             ShotBudget::MaxFailures {
@@ -829,7 +638,6 @@ mod tests {
             },
             5,
             &runtime,
-            &mut |_| {},
         );
         assert_eq!(stop, LerStopReason::MaxFailuresReached);
         assert_eq!(adaptive.shots, expected.shots);
@@ -842,7 +650,7 @@ mod tests {
         let dem = surface_dem(3, 1e-3, 2);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-        let (est, stop) = estimate_with_budget(
+        let (est, stop) = estimate(
             &dem,
             &decoder,
             ShotBudget::MaxFailures {
@@ -851,12 +659,11 @@ mod tests {
             },
             3,
             &runtime,
-            &mut |_| {},
         );
         assert_eq!(stop, LerStopReason::ShotsExhausted);
         assert_eq!(est.shots, 128);
         // An unreachable RSE target also runs to the cap.
-        let (est, stop) = estimate_with_budget(
+        let (est, stop) = estimate(
             &dem,
             &decoder,
             ShotBudget::TargetRse {
@@ -865,7 +672,6 @@ mod tests {
             },
             3,
             &runtime,
-            &mut |_| {},
         );
         assert_eq!(stop, LerStopReason::ShotsExhausted);
         assert_eq!(est.shots, 128);
@@ -880,7 +686,7 @@ mod tests {
             target: 0.5,
             max_shots: 100_000,
         };
-        let (est, stop) = estimate_with_budget(&dem, &decoder, budget, 9, &runtime, &mut |_| {});
+        let (est, stop) = estimate(&dem, &decoder, budget, 9, &runtime);
         assert_eq!(stop, LerStopReason::TargetRseReached);
         assert!(est.relative_standard_error() <= 0.5);
         assert!(est.shots < 100_000, "must stop well before the cap");
@@ -890,15 +696,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_round_trip_and_default_is_scalar() {
-        assert_eq!(Engine::default(), Engine::Scalar);
-        for engine in [Engine::Scalar, Engine::Frames] {
-            assert_eq!(Engine::parse(engine.as_str()), Some(engine));
-            assert_eq!(engine.as_str().parse::<Engine>(), Ok(engine));
-            assert_eq!(engine.to_string(), engine.as_str());
-        }
-        assert_eq!(Engine::parse("vectorized"), None);
-        assert!("vectorized".parse::<Engine>().is_err());
+    fn engine_is_frames_and_names_itself_in_reports() {
+        assert_eq!(Engine::default(), Engine::Frames);
+        assert_eq!(Engine::Frames.as_str(), "frames");
     }
 
     #[test]
@@ -906,16 +706,13 @@ mod tests {
         let dem = surface_dem(3, 8e-3, 3);
         let decoder = BpOsdDecoder::new(&dem);
         let run = |threads| {
-            estimate_with_budget_engine(
+            fixed(
                 &dem,
                 &decoder,
-                ShotBudget::fixed(500),
+                500,
                 42,
-                Engine::Frames,
                 &Runtime::new(RuntimeConfig::new(threads, 64, 0)),
-                &mut |_| {},
             )
-            .0
         };
         let reference = run(1);
         assert_eq!(reference.shots, 500);
@@ -932,87 +729,93 @@ mod tests {
         let dem = surface_dem(3, 2e-2, 3);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-        let (est, stop) = estimate_with_budget_engine(
-            &dem,
-            &decoder,
-            ShotBudget::fixed(150),
-            11,
-            Engine::Frames,
-            &runtime,
-            &mut |_| {},
-        );
+        let (est, stop) = estimate(&dem, &decoder, ShotBudget::fixed(150), 11, &runtime);
         assert_eq!(stop, LerStopReason::ShotsExhausted);
         assert_eq!(est.shots, 150);
         assert!(est.failures > 0, "p = 2% on d3 should fail sometimes");
         assert!(est.rate() < 0.5, "rate {}", est.rate());
     }
 
+    /// Two-proportion z statistic of `a` against `b` under the pooled null
+    /// hypothesis that both sample the same logical error rate.
+    fn two_proportion_z(a: LogicalErrorEstimate, b: LogicalErrorEstimate) -> f64 {
+        let pooled = a.combined(b).rate();
+        let se = (pooled * (1.0 - pooled) * (1.0 / a.shots as f64 + 1.0 / b.shots as f64)).sqrt();
+        (a.rate() - b.rate()) / se
+    }
+
+    /// The statistical cross-engine gate: the frame engine and the per-shot
+    /// reference oracle sample different shot sequences from the same
+    /// distribution, so their logical error rates must agree within a
+    /// two-proportion |z| <= 4 (fixed seeds, so the outcome is reproducible).
+    /// p = 2e-2 is the sampler's geometric-skip threshold: its model exercises
+    /// both frame-sampling paths.
     #[test]
-    fn both_engines_estimate_comparable_rates_on_the_same_model() {
-        // Different RNG stream layouts mean the counts differ, but both engines
-        // sample the same distribution: at p = 2% on d3 their rates must agree
-        // within generous Monte-Carlo error.
-        let dem = surface_dem(3, 2e-2, 3);
-        let decoder = BpOsdDecoder::new(&dem);
-        let runtime = Runtime::new(RuntimeConfig::new(4, 64, 0));
-        let run = |engine| {
-            estimate_with_budget_engine(
-                &dem,
-                &decoder,
-                ShotBudget::fixed(2000),
-                21,
-                engine,
-                &runtime,
-                &mut |_| {},
-            )
-            .0
-        };
-        let scalar = run(Engine::Scalar);
-        let frames = run(Engine::Frames);
-        assert_eq!(scalar.shots, frames.shots);
-        let tolerance = 5.0 * (scalar.standard_error() + frames.standard_error());
-        assert!(
-            (scalar.rate() - frames.rate()).abs() <= tolerance,
-            "scalar {} vs frames {} (tolerance {tolerance})",
-            scalar.rate(),
-            frames.rate(),
-        );
+    fn frames_agree_with_the_reference_oracle_within_four_sigma() {
+        let runtime = Runtime::new(RuntimeConfig::new(4, 1024, 0));
+        for (p, shots) in [(1e-3, 200_000), (GEOMETRIC_SKIP_MAX_P, 40_000)] {
+            let dem = surface_dem(3, p, 3);
+            if p == GEOMETRIC_SKIP_MAX_P {
+                let probabilities = || dem.errors().iter().map(|e| e.probability);
+                assert!(probabilities().any(|q| q > 0.0 && q < GEOMETRIC_SKIP_MAX_P));
+                assert!(probabilities().any(|q| q >= GEOMETRIC_SKIP_MAX_P));
+            }
+            let decoder = UnionFindDecoder::new(&dem);
+            let frames = fixed(&dem, &decoder, shots, 17, &runtime);
+            let oracle = reference::per_shot_estimate(&dem, &decoder, shots, 17, &runtime);
+            assert_eq!(frames.shots, oracle.shots);
+            assert!(frames.failures > 0 && oracle.failures > 0, "p = {p}");
+            let z = two_proportion_z(frames, oracle);
+            assert!(
+                z.abs() <= 4.0,
+                "p = {p}: frames {frames:?} vs reference {oracle:?} (z = {z:.2})"
+            );
+        }
     }
 
     #[test]
     fn frame_engine_adaptive_stop_matches_its_own_fixed_chunk_prefix() {
+        // The fixed run decodes through the dedup cache, the adaptive run
+        // without it: the cache must not move the stopping chunk.
         let dem = surface_dem(3, 2e-2, 3);
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(4, 32, 0));
         let mut prefix = Vec::new();
-        let (full, _) = estimate_with_budget_engine(
+        let (full, _) = estimate_logical_error_rate(
             &dem,
             &decoder,
             ShotBudget::fixed(960),
             5,
-            Engine::Frames,
+            DecodeCache::On,
             &runtime,
             &mut |p| prefix.push(p),
         );
         assert!(full.failures >= 8, "need failures, got {}", full.failures);
-        let max_failures = full.failures / 2;
+        let target = 0.35;
         let expected = prefix
             .iter()
-            .find(|p| p.failures >= max_failures)
-            .expect("threshold below the total must be crossed");
-        let (adaptive, stop) = estimate_with_budget_engine(
+            .find(|p| {
+                let e = LogicalErrorEstimate {
+                    shots: p.shots,
+                    failures: p.failures,
+                };
+                e.failures > 0 && e.relative_standard_error() <= target
+            })
+            .expect("target must be crossed inside the fixed run");
+        assert!(expected.shots < full.shots, "must stop early");
+        let (adaptive, stop) = estimate_logical_error_rate(
             &dem,
             &decoder,
-            ShotBudget::MaxFailures {
-                max_failures,
+            ShotBudget::TargetRse {
+                target,
                 max_shots: 960,
             },
             5,
-            Engine::Frames,
+            DecodeCache::Off,
             &runtime,
             &mut |_| {},
         );
-        assert_eq!(stop, LerStopReason::MaxFailuresReached);
+        assert_eq!(stop, LerStopReason::TargetRseReached);
         assert_eq!(adaptive.shots, expected.shots);
         assert_eq!(adaptive.failures, expected.failures);
     }
@@ -1052,56 +855,34 @@ mod tests {
             max_failures: 4,
             max_shots: 2048,
         };
-        for engine in [Engine::Scalar, Engine::Frames] {
-            let mut reference = None;
-            for threads in [1, 2, 8] {
-                let obs = Obs::enabled();
-                let runtime = Runtime::with_obs(RuntimeConfig::new(threads, 16, 0), obs.clone());
-                let (estimate, _) = estimate_with_budget_engine(
-                    &dem,
-                    &decoder,
-                    budget,
-                    5,
-                    engine,
-                    &runtime,
-                    &mut |_| {},
+        let mut reference = None;
+        for threads in [1, 2, 8] {
+            let obs = Obs::enabled();
+            let runtime = Runtime::with_obs(RuntimeConfig::new(threads, 16, 0), obs.clone());
+            let (estimate, _) = estimate(&dem, &decoder, budget, 5, &runtime);
+            let snap = obs.snapshot().unwrap();
+            assert_eq!(snap.counter("ler.shots"), estimate.shots as u64);
+            assert_eq!(snap.counter("ler.failures"), estimate.failures as u64);
+            assert!(snap.counter("ler.chunks") > 0);
+            // Every LER counter is registered on every run, zero or not.
+            for name in LER_COUNTERS {
+                assert!(snap.counters.iter().any(|(n, _)| n == name), "{name}");
+            }
+            let counters = snap.counters.clone();
+            match &reference {
+                None => reference = Some(counters),
+                Some(r) => assert_eq!(&counters, r, "at {threads} threads"),
+            }
+            for (_, stage) in STAGES {
+                assert!(
+                    snap.histogram(stage).is_some_and(|h| h.count > 0),
+                    "{stage} empty"
                 );
-                let snap = obs.snapshot().unwrap();
-                assert_eq!(snap.counter("ler.shots"), estimate.shots as u64);
-                assert_eq!(snap.counter("ler.failures"), estimate.failures as u64);
-                assert!(snap.counter("ler.chunks") > 0);
-                let counters = snap.counters.clone();
-                match &reference {
-                    None => reference = Some(counters),
-                    Some(r) => assert_eq!(&counters, r, "{engine:?} at {threads} threads"),
-                }
-                let stages: &[&str] = match engine {
-                    Engine::Scalar => &["ler.scalar.sample.ns", "ler.scalar.decode.ns"],
-                    Engine::Frames => &[
-                        "ler.frames.sample.ns",
-                        "ler.frames.transpose.ns",
-                        "ler.frames.decode.ns",
-                    ],
-                };
-                for stage in stages {
-                    assert!(
-                        snap.histogram(stage).is_some_and(|h| h.count > 0),
-                        "{stage} empty"
-                    );
-                }
             }
         }
         // A plain runtime records nothing and returns the same estimate.
         let plain = Runtime::new(RuntimeConfig::new(2, 16, 0));
-        let (estimate, _) = estimate_with_budget_engine(
-            &dem,
-            &decoder,
-            budget,
-            5,
-            Engine::Scalar,
-            &plain,
-            &mut |_| {},
-        );
+        let (estimate, _) = estimate(&dem, &decoder, budget, 5, &plain);
         assert!(estimate.shots > 0);
     }
 
@@ -1110,50 +891,31 @@ mod tests {
         let dem = surface_dem(3, 0.02, 2);
         let decoder = BpOsdDecoder::new(&dem);
         let budget = ShotBudget::fixed(200);
-        for engine in [Engine::Scalar, Engine::Frames] {
-            let plain = Runtime::new(RuntimeConfig::new(2, 16, 0));
-            let (baseline, _) =
-                estimate_with_budget_engine(&dem, &decoder, budget, 7, engine, &plain, &mut |_| {});
-            // Tracer-only Obs: no registry, so histograms stay off and the
-            // trace path has to carry the instrumented branch alone.
-            let tracer = prophunt_obs::Tracer::new();
-            let obs = Obs::disabled().with_tracer(tracer.clone());
-            let traced = Runtime::with_obs(RuntimeConfig::new(2, 16, 0), obs);
-            let (estimate, _) = estimate_with_budget_engine(
-                &dem,
-                &decoder,
-                budget,
-                7,
-                engine,
-                &traced,
-                &mut |_| {},
-            );
-            assert_eq!(estimate, baseline, "{engine:?}: tracing changed the result");
-            let log = tracer.drain();
-            let chunk_spans = log.events.iter().filter(|e| e.name == "ler.chunk").count();
-            assert!(chunk_spans > 0, "{engine:?}: no ler.chunk spans");
-            let stages: &[&str] = match engine {
-                Engine::Scalar => &["ler.scalar.sample", "ler.scalar.decode"],
-                Engine::Frames => &[
-                    "ler.frames.sample",
-                    "ler.frames.transpose",
-                    "ler.frames.decode",
-                ],
-            };
-            for stage in stages {
-                let n = log.events.iter().filter(|e| e.name == *stage).count();
-                assert!(n > 0, "{engine:?}: no {stage} events");
-            }
-            // Stage events nest under their chunk span on the same lane.
-            let chunk_ids: std::collections::HashSet<u64> = log
-                .events
-                .iter()
-                .filter(|e| e.name == "ler.chunk")
-                .map(|e| e.id)
-                .collect();
-            for e in log.events.iter().filter(|e| e.cat == "ler.stage") {
-                assert!(chunk_ids.contains(&e.parent), "stage event orphaned");
-            }
+        let plain = Runtime::new(RuntimeConfig::new(2, 16, 0));
+        let (baseline, _) = estimate(&dem, &decoder, budget, 7, &plain);
+        // Tracer-only Obs: no registry, so histograms stay off and the trace
+        // path has to carry the instrumented branch alone.
+        let tracer = prophunt_obs::Tracer::new();
+        let obs = Obs::disabled().with_tracer(tracer.clone());
+        let traced = Runtime::with_obs(RuntimeConfig::new(2, 16, 0), obs);
+        let (estimate, _) = estimate(&dem, &decoder, budget, 7, &traced);
+        assert_eq!(estimate, baseline, "tracing changed the result");
+        let log = tracer.drain();
+        let chunk_spans = log.events.iter().filter(|e| e.name == "ler.chunk").count();
+        assert!(chunk_spans > 0, "no ler.chunk spans");
+        for (stage, _) in STAGES {
+            let n = log.events.iter().filter(|e| e.name == stage).count();
+            assert!(n > 0, "no {stage} events");
+        }
+        // Stage events nest under their chunk span on the same lane.
+        let chunk_ids: std::collections::HashSet<u64> = log
+            .events
+            .iter()
+            .filter(|e| e.name == "ler.chunk")
+            .map(|e| e.id)
+            .collect();
+        for e in log.events.iter().filter(|e| e.cat == "ler.stage") {
+            assert!(chunk_ids.contains(&e.parent), "stage event orphaned");
         }
     }
 }

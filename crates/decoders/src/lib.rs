@@ -10,9 +10,12 @@
 //! * [`UnionFindDecoder`] — a cluster-growth union-find decoder for graph-like detector
 //!   error models (each error mechanism flips at most two detectors after restriction),
 //!   used as a faster alternative on surface codes and as an ablation point.
-//! * [`estimate_logical_error_rate`] — the Monte-Carlo harness: sample a
-//!   [`DemSampler`](prophunt_circuit::DemSampler), decode, and count logical failures,
-//!   optionally across threads.
+//! * [`estimate_logical_error_rate`] — the Monte-Carlo harness: sample 64 shots per
+//!   machine word from a [`DemSampler`](prophunt_circuit::DemSampler), batch-decode,
+//!   and count logical failures under a deterministic, optionally adaptive
+//!   [`ShotBudget`], across threads.
+//! * [`reference`](mod@reference) — the per-shot estimation loop, kept only as a test and
+//!   benchmark oracle.
 //!
 //! # Example
 //!
@@ -20,7 +23,7 @@
 //! use prophunt_qec::surface::rotated_surface_code_with_layout;
 //! use prophunt_circuit::{MemoryBasis, MemoryExperiment, NoiseModel, DetectorErrorModel};
 //! use prophunt_circuit::schedule::ScheduleSpec;
-//! use prophunt_decoders::{BpOsdDecoder, estimate_logical_error_rate, Decoder};
+//! use prophunt_decoders::{estimate_logical_error_rate, BpOsdDecoder, DecodeCache, ShotBudget};
 //! use prophunt_runtime::{Runtime, RuntimeConfig};
 //!
 //! let (code, layout) = rotated_surface_code_with_layout(3);
@@ -29,7 +32,15 @@
 //! let dem = DetectorErrorModel::from_experiment(&exp, &NoiseModel::uniform_depolarizing(1e-3));
 //! let decoder = BpOsdDecoder::new(&dem);
 //! let runtime = Runtime::new(RuntimeConfig::single_threaded(0));
-//! let estimate = estimate_logical_error_rate(&dem, &decoder, 200, 0xfeed, &runtime);
+//! let (estimate, _stop) = estimate_logical_error_rate(
+//!     &dem,
+//!     &decoder,
+//!     ShotBudget::fixed(200),
+//!     0xfeed,
+//!     DecodeCache::On,
+//!     &runtime,
+//!     &mut |_| {},
+//! );
 //! assert!(estimate.rate() < 0.2);
 //! ```
 
@@ -39,13 +50,13 @@
 pub mod batch;
 pub mod bposd;
 pub mod ler;
+pub mod reference;
 pub mod unionfind;
 
 pub use batch::{decode_shots_cached, DecodeCache, DecodeStats};
 pub use bposd::BpOsdDecoder;
 pub use ler::{
-    estimate_logical_error_rate, estimate_with_budget, estimate_with_budget_engine,
-    estimate_with_budget_engine_cached, ChunkProgress, Engine, LerStopReason, LogicalErrorEstimate,
+    estimate_logical_error_rate, ChunkProgress, Engine, LerStopReason, LogicalErrorEstimate,
     ShotBudget,
 };
 pub use unionfind::UnionFindDecoder;

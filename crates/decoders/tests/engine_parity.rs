@@ -1,10 +1,10 @@
 //! Frame-engine/scalar decode parity on identical error frames.
 //!
-//! The two estimation engines lay out the per-chunk RNG stream differently, so
-//! they sample different shot sequences — but the *decode* stage must be
-//! bit-identical: the frame engine's `decode_batch` over transposed frames has
-//! to return exactly what the scalar path's per-shot `decode` returns on the
-//! same syndromes. These proptests pin that on a matchable surface code (d3 and
+//! The frame engine and the per-shot reference oracle lay out the per-chunk
+//! RNG stream differently, so they sample different shot sequences — but the
+//! *decode* stage must be bit-identical: the frame engine's `decode_batch` over
+//! transposed frames has to return exactly what the scalar per-shot `decode`
+//! returns on the same syndromes. These proptests pin that on a matchable surface code (d3 and
 //! d5) and on the non-matchable `bb_72_12` bivariate-bicycle code, for both the
 //! batch-overriding decoders.
 

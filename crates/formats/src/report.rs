@@ -119,9 +119,10 @@ pub enum ReportRecord {
         noise: String,
         /// Why the run stopped (`shots_exhausted`, `max_failures`, `target_rse`).
         stop: String,
-        /// Estimation engine the counts were computed with (`scalar` or
-        /// `frames`); part of the reproduction key, since the two engines lay
-        /// out the RNG stream differently.
+        /// Estimation engine the counts were computed with: `frames` for new
+        /// records, `scalar` for records of the retired per-shot engine. Part
+        /// of the reproduction key, since the two engines lay out the RNG
+        /// stream differently.
         engine: String,
         /// Wall-clock seconds the job took (0 when not measured).
         wall_s: f64,
@@ -201,8 +202,8 @@ pub enum ReportRecord {
         threads: u64,
         /// Deterministic chunk size of the run (0 if unknown).
         chunk_size: u64,
-        /// Estimation engine of the run (`"scalar"`/`"frames"`; empty for
-        /// commands without one, e.g. `search`).
+        /// Estimation engine of the run (`"frames"`, or `"scalar"` in older
+        /// streams; empty for commands without one, e.g. `search`).
         engine: String,
         /// Invoking command line, space-joined (empty if unknown). Additive
         /// field: the writer omits the key when empty, and the parser defaults

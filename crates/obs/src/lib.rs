@@ -345,8 +345,8 @@ impl Registry {
     }
 }
 
-/// The cloneable observability handle threaded through runtime, session, LER
-/// engines and search: either an attached shared [`Registry`] or disabled.
+/// The cloneable observability handle threaded through runtime, session, the
+/// LER engine and search: either an attached shared [`Registry`] or disabled.
 ///
 /// The default is disabled; every recording method then reduces to a branch
 /// on `None`. Handles ([`Obs::counter`] etc.) come back as `Option`s so hot

@@ -14,7 +14,7 @@
 //! * [`zne`] — Hook-ZNE and DS-ZNE ([`prophunt_zne`]).
 //! * [`obs`] — zero-dependency observability: counters, gauges, log2-bucketed
 //!   histograms and RAII span timers behind an optional `Obs` handle, threaded
-//!   through the runtime, Session, LER engines and search out-of-band of the
+//!   through the runtime, Session, the LER engine and search out-of-band of the
 //!   deterministic seed streams ([`prophunt_obs`]); exported as `metrics`
 //!   JSON-lines records and summarized by `prophunt report`.
 //! * [`runtime`] — the deterministic bounded parallel execution layer shared by

@@ -72,13 +72,16 @@ fn one_session_caches_models_across_an_optimize_then_estimate_workflow() {
             )
             .unwrap();
     }
-    let stats = session.stats();
+    let snap = session.metrics();
     // 2 schedules x 2 bases experiments/models; decoders: 2 schedules x 2 bases x 2 names.
-    assert_eq!(stats.experiments_built, 4);
-    assert_eq!(stats.dems_built, 4);
-    assert_eq!(stats.decoders_built, 8);
-    assert!(stats.dem_hits >= 4, "second decoder must reuse the models");
-    assert_eq!(stats.jobs_run, 5);
+    assert_eq!(snap.counter("session.cache.experiment.miss"), 4);
+    assert_eq!(snap.counter("session.cache.dem.miss"), 4);
+    assert_eq!(snap.counter("session.cache.decoder.miss"), 8);
+    assert!(
+        snap.counter("session.cache.dem.hit") >= 4,
+        "second decoder must reuse the models"
+    );
+    assert_eq!(snap.counter("session.jobs"), 5);
 }
 
 #[test]
@@ -255,5 +258,5 @@ fn search_jobs_emit_provenanced_incumbents_and_beat_single_strategy_maxsat() {
     };
     assert_eq!(stop.as_str(), "round_limit");
     assert!(matches!(stop, StopReason::RoundLimit { rounds: 4 }));
-    assert_eq!(session.stats().jobs_run, 2);
+    assert_eq!(session.metrics().counter("session.jobs"), 2);
 }

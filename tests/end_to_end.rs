@@ -4,11 +4,35 @@
 use prophunt_suite::circuit::schedule::ScheduleSpec;
 use prophunt_suite::circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_suite::core::{PropHunt, PropHuntConfig};
-use prophunt_suite::decoders::{estimate_logical_error_rate, BpOsdDecoder, UnionFindDecoder};
+use prophunt_suite::decoders::{
+    estimate_logical_error_rate, BpOsdDecoder, DecodeCache, Decoder, LogicalErrorEstimate,
+    ShotBudget, UnionFindDecoder,
+};
 use prophunt_suite::qec::product::generalized_bicycle;
 use prophunt_suite::qec::surface::rotated_surface_code_with_layout;
 use prophunt_suite::qec::CssCode;
 use prophunt_suite::runtime::{Runtime, RuntimeConfig};
+
+/// A fixed-budget [`estimate_logical_error_rate`] run with the default decode
+/// cache and no progress observer.
+fn estimate_fixed(
+    dem: &DetectorErrorModel,
+    decoder: &dyn Decoder,
+    shots: usize,
+    seed: u64,
+    runtime: &Runtime,
+) -> LogicalErrorEstimate {
+    estimate_logical_error_rate(
+        dem,
+        decoder,
+        ShotBudget::fixed(shots),
+        seed,
+        DecodeCache::On,
+        runtime,
+        &mut |_| {},
+    )
+    .0
+}
 
 fn combined_ler(
     code: &CssCode,
@@ -24,7 +48,7 @@ fn combined_ler(
         let dem = DetectorErrorModel::from_experiment(&exp, &NoiseModel::uniform_depolarizing(p));
         let decoder = BpOsdDecoder::new(&dem);
         let runtime = Runtime::new(RuntimeConfig::new(4, 64, 0));
-        let est = estimate_logical_error_rate(&dem, &decoder, shots, 99, &runtime);
+        let est = estimate_fixed(&dem, &decoder, shots, 99, &runtime);
         failures += est.failures;
         total += est.shots;
     }
@@ -90,8 +114,8 @@ fn decoders_agree_on_surface_code_order_of_magnitude() {
     let uf = UnionFindDecoder::new(&dem);
     let shots = 800;
     let runtime = Runtime::new(RuntimeConfig::new(4, 64, 0));
-    let a = estimate_logical_error_rate(&dem, &bposd, shots, 5, &runtime);
-    let b = estimate_logical_error_rate(&dem, &uf, shots, 5, &runtime);
+    let a = estimate_fixed(&dem, &bposd, shots, 5, &runtime);
+    let b = estimate_fixed(&dem, &uf, shots, 5, &runtime);
     // Union-find is less accurate but must stay within an order of magnitude.
     assert!(b.failures <= 10 * a.failures.max(3));
 }

@@ -5,13 +5,37 @@
 use prophunt_suite::circuit::schedule::ScheduleSpec;
 use prophunt_suite::circuit::{DetectorErrorModel, MemoryBasis, MemoryExperiment, NoiseModel};
 use prophunt_suite::core::{PropHunt, PropHuntConfig};
-use prophunt_suite::decoders::{estimate_logical_error_rate, BpOsdDecoder};
+use prophunt_suite::decoders::{
+    estimate_logical_error_rate, BpOsdDecoder, DecodeCache, Decoder, LogicalErrorEstimate,
+    ShotBudget,
+};
 use prophunt_suite::formats::{
     parse_dem, parse_report, parse_schedule, report_to_result, result_to_report, write_dem,
     write_report, write_schedule,
 };
 use prophunt_suite::qec::surface::rotated_surface_code_with_layout;
 use prophunt_suite::runtime::{Runtime, RuntimeConfig};
+
+/// A fixed-budget [`estimate_logical_error_rate`] run with the default decode
+/// cache and no progress observer.
+fn estimate_fixed(
+    dem: &DetectorErrorModel,
+    decoder: &dyn Decoder,
+    shots: usize,
+    seed: u64,
+    runtime: &Runtime,
+) -> LogicalErrorEstimate {
+    estimate_logical_error_rate(
+        dem,
+        decoder,
+        ShotBudget::fixed(shots),
+        seed,
+        DecodeCache::On,
+        runtime,
+        &mut |_| {},
+    )
+    .0
+}
 
 const GOLDEN_DEM: &str = include_str!("golden/surface_d3_hand_r3_p1e-3.dem");
 const GOLDEN_SI1000_DEM: &str = include_str!("golden/surface_d3_hand_r3_si1000_1e-3.dem");
@@ -85,7 +109,7 @@ fn parsed_golden_dem_gives_bit_identical_ler_counts() {
     let dec_ref = BpOsdDecoder::new(&reference);
     let dec_parsed = BpOsdDecoder::new(&parsed);
     let (shots, seed, chunk_size) = (600, 42, 64);
-    let baseline = estimate_logical_error_rate(
+    let baseline = estimate_fixed(
         &reference,
         &dec_ref,
         shots,
@@ -95,7 +119,7 @@ fn parsed_golden_dem_gives_bit_identical_ler_counts() {
     // The parsed-back model must reproduce the failure count bit-for-bit at the
     // fixed (seed, chunk_size), at any thread count.
     for threads in [1, 4] {
-        let estimate = estimate_logical_error_rate(
+        let estimate = estimate_fixed(
             &parsed,
             &dec_parsed,
             shots,
@@ -255,8 +279,7 @@ fn dem_export_of_an_optimized_schedule_round_trips_with_identical_ler() {
     assert!(parsed.same_distribution(&dem));
 
     let runtime = Runtime::new(RuntimeConfig::new(2, 64, 0));
-    let in_memory = estimate_logical_error_rate(&dem, &BpOsdDecoder::new(&dem), 400, 9, &runtime);
-    let from_file =
-        estimate_logical_error_rate(&parsed, &BpOsdDecoder::new(&parsed), 400, 9, &runtime);
+    let in_memory = estimate_fixed(&dem, &BpOsdDecoder::new(&dem), 400, 9, &runtime);
+    let from_file = estimate_fixed(&parsed, &BpOsdDecoder::new(&parsed), 400, 9, &runtime);
     assert_eq!(in_memory.failures, from_file.failures);
 }
