@@ -311,12 +311,15 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`ApiError::Circuit`] when the starting schedule fails validation.
+    /// Returns [`ApiError::InvalidSpec`] when the job samples no subgraphs per
+    /// iteration, and [`ApiError::Circuit`] when the starting schedule fails
+    /// validation.
     pub fn run_optimize(
         &mut self,
         job: &OptimizeJob,
         mut observer: impl FnMut(&Event),
     ) -> Result<OptimizeOutcome, ApiError> {
+        require_samples(job.samples_per_iteration)?;
         let span = self.obs.span("job.optimize.ns");
         let _trace = self.obs.tracer().map(|t| t.span("job.optimize", "job"));
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
@@ -326,14 +329,13 @@ impl Session {
         config.maxsat_budget = job.maxsat_budget;
         config.max_subgraph_steps = job.max_subgraph_steps;
         config.max_subgraphs_per_iteration = job.max_subgraphs_per_iteration;
-        config.physical_error_rate = job.spec.noise().p();
-        config.noise = Some(job.spec.noise().build());
-        config.runtime = self.runtime.config().with_seed(seed);
+        config.noise = job.spec.noise().build();
         observer(&Event::JobStarted {
             kind: JobKind::Optimize,
             label: job.label().to_string(),
         });
-        let prophunt = PropHunt::new(job.spec.code().clone(), config);
+        let runtime = Runtime::with_obs(self.runtime.config().with_seed(seed), self.obs.clone());
+        let prophunt = PropHunt::new(job.spec.code().clone(), config, runtime);
         let result =
             prophunt.try_optimize_with_observer(job.spec.schedule().clone(), |record| {
                 observer(&Event::Iteration(record.clone()));
@@ -378,13 +380,16 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`ApiError::Circuit`] when the spec's schedule fails validation
-    /// or the portfolio shape is degenerate (no strategies/instances/rounds).
+    /// Returns [`ApiError::InvalidSpec`] when the job samples no subgraphs per
+    /// iteration, and [`ApiError::Circuit`] when the spec's schedule fails
+    /// validation or the portfolio shape is degenerate (no
+    /// strategies/instances/rounds).
     pub fn run_search(
         &mut self,
         job: &SearchJob,
         mut observer: impl FnMut(&Event),
     ) -> Result<SearchOutcome, ApiError> {
+        require_samples(job.samples_per_iteration)?;
         let span = self.obs.span("job.search.ns");
         let _trace = self.obs.tracer().map(|t| t.span("job.search", "job"));
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
@@ -404,10 +409,10 @@ impl Session {
             strategies: job.strategies.clone(),
             portfolio_size: job.portfolio_size,
             rounds: job.rounds,
-            runtime: self.runtime.config().with_seed(seed),
             params,
         };
-        let result = Portfolio::with_obs(config, self.obs.clone()).run(
+        let runtime = Runtime::with_obs(self.runtime.config().with_seed(seed), self.obs.clone());
+        let result = Portfolio::new(config, runtime).run(
             job.spec.code(),
             job.spec.layout(),
             job.spec.schedule(),
@@ -506,6 +511,17 @@ impl Session {
             wall: span.finish(),
         })
     }
+}
+
+/// Rejects a zero subgraph-sample count: such a job finds no subgraph and would
+/// report a vacuous convergence.
+fn require_samples(samples_per_iteration: usize) -> Result<(), ApiError> {
+    if samples_per_iteration == 0 {
+        return Err(ApiError::InvalidSpec(
+            "samples per iteration must be at least 1".into(),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -744,5 +760,20 @@ mod tests {
             .final_schedule
             .validate(job.spec.code())
             .unwrap();
+    }
+
+    #[test]
+    fn jobs_with_zero_samples_are_rejected() {
+        let mut session = session();
+        let optimize = OptimizeJob::new(d3_spec()).with_samples(0);
+        assert!(matches!(
+            session.run_optimize_quiet(&optimize),
+            Err(ApiError::InvalidSpec(_))
+        ));
+        let search = SearchJob::new(d3_spec()).with_samples(0);
+        assert!(matches!(
+            session.run_search_quiet(&search),
+            Err(ApiError::InvalidSpec(_))
+        ));
     }
 }

@@ -7,6 +7,7 @@ use prophunt::{PropHunt, PropHuntConfig};
 use prophunt_bench::{combined_logical_error_rate, runtime_config_from_env, stage_seed};
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_qec::surface::rotated_surface_code_with_layout;
+use prophunt_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -17,9 +18,11 @@ fn main() {
     let num_schedules = if quick { 6 } else { 20 };
     let runtime = runtime_config_from_env();
     let (code, layout) = rotated_surface_code_with_layout(d);
-    let mut config = PropHuntConfig::quick(d);
-    config.runtime = runtime.with_seed(stage_seed(&runtime, config.seed()));
-    let prophunt = PropHunt::new(code.clone(), config);
+    let prophunt = PropHunt::new(
+        code.clone(),
+        PropHuntConfig::quick(d),
+        Runtime::new(runtime.with_seed(stage_seed(&runtime, 0x5eed_0001))),
+    );
     let mut rng = StdRng::seed_from_u64(2024);
 
     let mut schedules = vec![

@@ -6,6 +6,7 @@ use prophunt_bench::{
     benchmark_suite, combined_logical_error_rate, runtime_config_from_env, stage_seed,
 };
 use prophunt_circuit::schedule::ScheduleSpec;
+use prophunt_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,11 +27,14 @@ fn main() {
         let rounds = bench.rounds.min(3);
         for s in 0..starts {
             let baseline = ScheduleSpec::coloration_random(code, &mut rng);
-            let mut config = PropHuntConfig::quick(rounds)
-                .with_runtime(runtime.with_seed(stage_seed(&runtime, 1000 + s as u64)));
-            config.iterations = 3;
-            config.samples_per_iteration = 30;
-            let prophunt = PropHunt::new(code.clone(), config);
+            let config = PropHuntConfig {
+                iterations: 3,
+                samples_per_iteration: 30,
+                ..PropHuntConfig::quick(rounds)
+            };
+            let seed = stage_seed(&runtime, 1000 + s as u64);
+            let prophunt =
+                PropHunt::new(code.clone(), config, Runtime::new(runtime.with_seed(seed)));
             let result = prophunt
                 .try_optimize(baseline.clone())
                 .expect("random coloration baseline is valid");

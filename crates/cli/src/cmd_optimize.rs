@@ -73,6 +73,11 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     if rounds == 0 {
         return Err(CliError::usage("--rounds must be at least 1"));
     }
+    // Zero samples would find no subgraph and report a vacuous convergence.
+    let samples = flags.num("samples", 40usize)?;
+    if samples == 0 {
+        return Err(CliError::usage("--samples must be at least 1"));
+    }
     let runtime = runtime_from_flags(&flags)?;
     let noise = noise_from_flags(&flags)?;
 
@@ -87,7 +92,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .map_err(CliError::failure)?;
     let job = OptimizeJob::new(spec)
         .with_iterations(flags.num("iterations", 4usize)?)
-        .with_samples(flags.num("samples", 40usize)?);
+        .with_samples(samples);
 
     // The report sink: a file when --report is given, stdout otherwise. Records are
     // flushed line by line so a long run can be followed (or consumed) live.
@@ -160,4 +165,17 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         out_schedule
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rejects_zero_samples() {
+        let args: Vec<String> = ["--code", "surface:3", "--samples", "0"]
+            .map(String::from)
+            .to_vec();
+        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+    }
 }

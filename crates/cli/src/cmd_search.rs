@@ -124,6 +124,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "--portfolio-size and --rounds must be at least 1",
         ));
     }
+    let samples = flags.num("samples", 20usize)?;
+    if samples == 0 {
+        return Err(CliError::usage("--samples must be at least 1"));
+    }
     let runtime = runtime_from_flags(&flags)?;
     let noise = noise_from_flags(&flags)?;
 
@@ -141,7 +145,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .with_portfolio_size(portfolio_size)
         .with_rounds(rounds)
         .with_proposals(flags.num("proposals", 24usize)?)
-        .with_samples(flags.num("samples", 20usize)?);
+        .with_samples(samples);
 
     let mut sink: Box<dyn std::io::Write> = match flags.get("report") {
         Some(path) => Box::new(
@@ -239,4 +243,17 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         out_schedule
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rejects_zero_samples() {
+        let args: Vec<String> = ["--code", "surface:3", "--samples", "0"]
+            .map(String::from)
+            .to_vec();
+        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+    }
 }

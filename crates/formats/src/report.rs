@@ -1120,6 +1120,7 @@ mod tests {
     use prophunt::{PropHunt, PropHuntConfig};
     use prophunt_circuit::schedule::ScheduleSpec;
     use prophunt_qec::surface::rotated_surface_code_with_layout;
+    use prophunt_runtime::{Runtime, RuntimeConfig};
 
     #[test]
     fn ler_and_table_records_round_trip() {
@@ -1163,9 +1164,9 @@ mod tests {
             samples_per_iteration: 15,
             ..PropHuntConfig::quick(3)
         };
-        let seed = config.seed();
-        let chunk = config.runtime.chunk_size;
-        let prophunt = PropHunt::new(code.clone(), config);
+        let runtime = RuntimeConfig::new(4, 16, 0x5eed_0001);
+        let (seed, chunk) = (runtime.seed, runtime.chunk_size);
+        let prophunt = PropHunt::new(code.clone(), config, Runtime::new(runtime));
         let result = prophunt.try_optimize(poor).unwrap();
         let records = result_to_report(&result, code.name(), seed, chunk);
         let text = write_report(&records);
@@ -1546,9 +1547,9 @@ mod tests {
             samples_per_iteration: 10,
             ..PropHuntConfig::quick(3)
         };
-        let seed = config.seed();
-        let chunk = config.runtime.chunk_size;
-        let prophunt = PropHunt::new(code.clone(), config);
+        let runtime = RuntimeConfig::new(4, 16, 0x5eed_0001);
+        let (seed, chunk) = (runtime.seed, runtime.chunk_size);
+        let prophunt = PropHunt::new(code.clone(), config, Runtime::new(runtime));
         let result = prophunt.try_optimize(poor).unwrap();
         let mut records = result_to_report(&result, code.name(), seed, chunk);
         records.insert(0, ReportRecord::meta("0.1.0", seed, 4, chunk as u64, ""));

@@ -26,11 +26,12 @@
 //! use prophunt::{PropHunt, PropHuntConfig};
 //! use prophunt_circuit::schedule::ScheduleSpec;
 //! use prophunt_qec::surface::rotated_surface_code_with_layout;
+//! use prophunt_runtime::{Runtime, RuntimeConfig};
 //!
 //! let (code, _) = rotated_surface_code_with_layout(3);
 //! let baseline = ScheduleSpec::coloration(&code);
-//! let config = PropHuntConfig::quick(3);
-//! let result = PropHunt::new(code, config).try_optimize(baseline)?;
+//! let runtime = Runtime::new(RuntimeConfig::new(4, 16, 7));
+//! let result = PropHunt::new(code, PropHuntConfig::quick(3), runtime).try_optimize(baseline)?;
 //! println!("final depth: {}", result.final_depth());
 //! # Ok::<(), prophunt_circuit::CircuitError>(())
 //! ```

@@ -2,12 +2,11 @@
 //!
 //! Each iteration is an explicit pipeline of stages —
 //! `build_graph → sample → solve → enumerate → verify → apply` — whose
-//! parallel stages all run on the shared [`prophunt_runtime`] execution layer:
-//! work is divided into thread-count-independent tasks, every task derives its
-//! RNG seed from a [`prophunt_runtime::SeedStream`], and results are assembled
-//! in task order, so
-//! a fixed [`RuntimeConfig`] `(seed, chunk_size)` yields bit-identical
-//! [`OptimizationResult`]s at any thread count.
+//! parallel stages all run on the caller's [`Runtime`]: work is divided into
+//! thread-count-independent tasks, every task derives its RNG seed from a
+//! [`prophunt_runtime::SeedStream`], and results are assembled in task order.
+//! No stage chunks its work, so the [`OptimizationResult`] is a pure function
+//! of the runtime's seed, bit-identical at any thread count and chunk size.
 
 use crate::ambiguity::{find_ambiguous_subgraph, AmbiguousSubgraph, DecodingGraph};
 use crate::changes::{
@@ -17,13 +16,14 @@ use crate::minweight::{min_weight_logical_error, MinWeightSolution};
 use crate::CandidateChange;
 use prophunt_circuit::{MemoryBasis, NoiseModel, ScheduleSpec};
 use prophunt_qec::CssCode;
-use prophunt_runtime::{Runtime, RuntimeConfig};
+use prophunt_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Configuration of a PropHunt optimization run.
+/// Algorithm knobs of a PropHunt optimization run. Threads, chunk size, seed
+/// and observability belong to the [`Runtime`] passed to [`PropHunt::new`].
 #[derive(Debug, Clone)]
 pub struct PropHuntConfig {
     /// Maximum number of optimization iterations (the paper uses 25).
@@ -32,30 +32,21 @@ pub struct PropHuntConfig {
     pub samples_per_iteration: usize,
     /// Number of syndrome-measurement rounds in the analysed memory experiment.
     pub rounds: usize,
-    /// Physical error rate used to build the detector error model (under uniform
-    /// depolarizing noise, unless [`Self::noise`] overrides the whole model).
-    pub physical_error_rate: f64,
-    /// Full noise-model override. `None` (the default) analyses the circuit under
-    /// [`NoiseModel::uniform_depolarizing`] at [`Self::physical_error_rate`]; `Some`
-    /// optimizes against that model instead (SI1000-style, biased, ...).
-    pub noise: Option<NoiseModel>,
+    /// The noise model the decoding graphs are built with (uniform
+    /// depolarizing at `1e-3` in [`Self::quick`] and [`Self::paper_like`]).
+    pub noise: NoiseModel,
     /// Budget per MaxSAT solve, denominated in `Duration` for parity with the
     /// paper (which uses 360 s) but enforced as a deterministic *conflict*
     /// budget: the duration is converted through the fixed
     /// `prophunt_maxsat::maxsat::CONFLICTS_PER_BUDGET_SECOND` exchange rate, so
-    /// the same budget buys the same amount of search on every machine.
+    /// the same budget buys the same amount of search on every machine. Budget
+    /// exhaustion is deterministic because it is enforced in conflicts: a
+    /// solve that runs out of budget returns the same incumbent everywhere.
     pub maxsat_budget: Duration,
     /// Maximum subgraph-expansion steps before a sample gives up.
     pub max_subgraph_steps: usize,
     /// Maximum number of distinct ambiguous subgraphs processed per iteration.
     pub max_subgraphs_per_iteration: usize,
-    /// Shared parallel-runtime configuration: worker-thread bound, chunk size
-    /// and the base random seed. The run is a deterministic function of
-    /// `(runtime.seed, runtime.chunk_size)`; `runtime.threads` affects
-    /// wall-clock time only. MaxSAT budget exhaustion is part of that
-    /// determinism: because [`Self::maxsat_budget`] is enforced in conflicts,
-    /// a solve that runs out of budget returns the same incumbent everywhere.
-    pub runtime: RuntimeConfig,
 }
 
 impl PropHuntConfig {
@@ -66,12 +57,10 @@ impl PropHuntConfig {
             iterations: 4,
             samples_per_iteration: 40,
             rounds,
-            physical_error_rate: 1e-3,
-            noise: None,
+            noise: NoiseModel::uniform_depolarizing(1e-3),
             maxsat_budget: Duration::from_secs(20),
             max_subgraph_steps: 60,
             max_subgraphs_per_iteration: 6,
-            runtime: RuntimeConfig::new(4, 16, 0x5eed_0001),
         }
     }
 
@@ -82,44 +71,11 @@ impl PropHuntConfig {
             iterations: 25,
             samples_per_iteration: 500,
             rounds,
-            physical_error_rate: 1e-3,
-            noise: None,
+            noise: NoiseModel::uniform_depolarizing(1e-3),
             maxsat_budget: Duration::from_secs(360),
             max_subgraph_steps: 120,
             max_subgraphs_per_iteration: 24,
-            runtime: RuntimeConfig::new(8, 64, 0x5eed_0001),
         }
-    }
-
-    /// Overrides the random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.runtime.seed = seed;
-        self
-    }
-
-    /// Overrides the whole runtime configuration (threads, chunk size, seed).
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
-    /// Overrides the full noise model the circuit is analysed under.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = Some(noise);
-        self
-    }
-
-    /// Returns the noise model the decoding graphs are built with: the explicit
-    /// [`Self::noise`] override, or uniform depolarizing at
-    /// [`Self::physical_error_rate`].
-    pub fn noise_model(&self) -> NoiseModel {
-        self.noise
-            .unwrap_or_else(|| NoiseModel::uniform_depolarizing(self.physical_error_rate))
-    }
-
-    /// Returns the base random seed.
-    pub fn seed(&self) -> u64 {
-        self.runtime.seed
     }
 }
 
@@ -222,14 +178,15 @@ pub struct PropHunt {
 impl Clone for PropHunt {
     fn clone(&self) -> Self {
         // The cache is a memo, not state: a clone starts cold.
-        PropHunt::new(self.code.clone(), self.config.clone())
+        PropHunt::new(self.code.clone(), self.config.clone(), self.runtime.clone())
     }
 }
 
 impl PropHunt {
-    /// Creates an optimizer for `code` with the given configuration.
-    pub fn new(code: CssCode, config: PropHuntConfig) -> Self {
-        let runtime = Runtime::new(config.runtime);
+    /// Creates an optimizer for `code` with the given configuration, running
+    /// its parallel stages on `runtime` (whose seed drives every stage's RNG
+    /// streams and whose observability handle records the pool calls).
+    pub fn new(code: CssCode, config: PropHuntConfig, runtime: Runtime) -> Self {
         PropHunt {
             code,
             config,
@@ -246,11 +203,6 @@ impl PropHunt {
     /// Returns the configuration.
     pub fn config(&self) -> &PropHuntConfig {
         &self.config
-    }
-
-    /// Returns the shared parallel runtime.
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
     }
 
     /// Runs the iterative optimization loop starting from `initial` (typically a
@@ -391,7 +343,7 @@ impl PropHunt {
                 schedule,
                 self.config.rounds,
                 basis,
-                &self.config.noise_model(),
+                &self.config.noise,
             )
             .map_err(|e| format!("{e:?}"))?,
         );
@@ -503,7 +455,6 @@ impl PropHunt {
                     .map(move |candidate| (group, sub, solution, candidate))
             })
             .collect();
-        let noise = self.config.noise_model();
         let base_eval = prophunt_circuit::ScheduleEval::new(schedule.clone())
             .expect("schedule stays valid across iterations");
         let results = self
@@ -518,7 +469,7 @@ impl PropHunt {
                     graph,
                     self.config.rounds,
                     basis,
-                    &noise,
+                    &self.config.noise,
                 )
                 .map(|verified| (group, verified))
             });
@@ -569,6 +520,11 @@ impl PropHunt {
 mod tests {
     use super::*;
     use prophunt_qec::surface::rotated_surface_code_with_layout;
+    use prophunt_runtime::RuntimeConfig;
+
+    fn runtime(seed: u64) -> Runtime {
+        Runtime::new(RuntimeConfig::new(4, 16, seed))
+    }
 
     #[test]
     fn quick_config_is_small() {
@@ -581,33 +537,10 @@ mod tests {
     }
 
     #[test]
-    fn with_seed_updates_the_runtime_seed() {
-        let config = PropHuntConfig::quick(3).with_seed(99);
-        assert_eq!(config.seed(), 99);
-        assert_eq!(config.runtime.seed, 99);
-        let config = config.with_runtime(RuntimeConfig::new(2, 8, 7));
-        assert_eq!(config.runtime.threads, 2);
-        assert_eq!(config.seed(), 7);
-    }
-
-    #[test]
-    fn noise_override_replaces_the_uniform_depolarizing_default() {
-        let config = PropHuntConfig::quick(3);
-        assert_eq!(
-            config.noise_model(),
-            NoiseModel::uniform_depolarizing(config.physical_error_rate)
-        );
-        let si = NoiseModel::si1000(2e-3);
-        let config = config.with_noise(si);
-        assert_eq!(config.noise_model(), si);
-    }
-
-    #[test]
     fn optimizing_the_poor_d3_schedule_restores_effective_distance() {
         let (code, layout) = rotated_surface_code_with_layout(3);
         let poor = ScheduleSpec::surface_poor(&code, &layout);
-        let config = PropHuntConfig::quick(3).with_seed(11);
-        let prophunt = PropHunt::new(code.clone(), config);
+        let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(3), runtime(11));
         // The poor schedule has d_eff = 2.
         let before = prophunt.estimate_effective_distance(&poor, 15).unwrap();
         assert_eq!(
@@ -638,7 +571,7 @@ mod tests {
             samples_per_iteration: 20,
             ..PropHuntConfig::quick(3)
         };
-        let prophunt = PropHunt::new(code, config);
+        let prophunt = PropHunt::new(code, config, runtime(0x5eed_0001));
         let result = prophunt.try_optimize(good.clone()).unwrap();
         result.final_schedule.validate(prophunt.code()).unwrap();
         // The hand-designed schedule already has d_eff = d; whatever the optimizer does,
@@ -656,7 +589,7 @@ mod tests {
     fn graph_cache_is_shared_between_optimize_and_distance_estimation() {
         let (code, layout) = rotated_surface_code_with_layout(3);
         let poor = ScheduleSpec::surface_poor(&code, &layout);
-        let prophunt = PropHunt::new(code, PropHuntConfig::quick(3).with_seed(11));
+        let prophunt = PropHunt::new(code, PropHuntConfig::quick(3), runtime(11));
         let first = prophunt.build_graph(&poor, MemoryBasis::Z).unwrap();
         let second = prophunt.build_graph(&poor, MemoryBasis::Z).unwrap();
         assert!(

@@ -51,10 +51,11 @@ use std::time::Instant;
 
 /// Configuration of the shared parallel runtime.
 ///
-/// One `RuntimeConfig` is plumbed through `PropHuntConfig`, the LER estimator
-/// and the bench binaries so an entire run shares a single `(threads,
-/// chunk_size, seed)` triple. `threads` affects wall-clock time only;
-/// `chunk_size` and `seed` define the deterministic result.
+/// One `Runtime` built from a `RuntimeConfig` is passed to the optimizer, the
+/// search portfolio, the LER estimator and the bench binaries, so an entire
+/// run shares a single `(threads, chunk_size, seed)` triple. `threads`
+/// affects wall-clock time only; `chunk_size` and `seed` define the
+/// deterministic result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Maximum number of worker threads a parallel call may use.

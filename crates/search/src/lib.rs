@@ -61,7 +61,7 @@
 //! ```
 //! use prophunt_circuit::schedule::ScheduleSpec;
 //! use prophunt_qec::surface::rotated_surface_code_with_layout;
-//! use prophunt_runtime::RuntimeConfig;
+//! use prophunt_runtime::{Runtime, RuntimeConfig};
 //! use prophunt_search::{Portfolio, PortfolioConfig, StrategyKind};
 //!
 //! let (code, _) = rotated_surface_code_with_layout(3);
@@ -70,10 +70,10 @@
 //!     strategies: vec![StrategyKind::HillClimb, StrategyKind::Annealing],
 //!     portfolio_size: 2,
 //!     rounds: 3,
-//!     runtime: RuntimeConfig::new(2, 64, 7),
 //!     ..PortfolioConfig::quick()
 //! };
-//! let result = Portfolio::new(config).run(&code, None, &initial, |_round| {})?;
+//! let runtime = Runtime::new(RuntimeConfig::new(2, 64, 7));
+//! let result = Portfolio::new(config, runtime).run(&code, None, &initial, |_round| {})?;
 //! assert!(result.best.depth <= result.initial_depth);
 //! # Ok::<(), prophunt_circuit::CircuitError>(())
 //! ```

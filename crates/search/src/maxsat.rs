@@ -4,7 +4,7 @@ use crate::strategy::{Incumbent, Proposal, SearchContext, Strategy};
 use prophunt::{PropHunt, PropHuntConfig};
 use prophunt_circuit::MemoryBasis;
 use prophunt_obs::Counter;
-use prophunt_runtime::RuntimeConfig;
+use prophunt_runtime::{Runtime, RuntimeConfig};
 
 /// The paper's optimizer as a portfolio arm: each round runs **one**
 /// `build_graph → sample → solve → enumerate → verify → apply` pipeline
@@ -43,19 +43,21 @@ impl MaxSatDescent {
             iterations: 1,
             samples_per_iteration: ctx.params.samples_per_iteration,
             rounds: ctx.params.memory_rounds,
-            physical_error_rate: 1e-3,
-            noise: Some(ctx.params.noise),
+            noise: ctx.params.noise,
             maxsat_budget: ctx.params.maxsat_budget,
             max_subgraph_steps: 60,
             max_subgraphs_per_iteration: 6,
-            runtime: RuntimeConfig::new(1, 16, seed),
         };
         let depth = ctx
             .initial
             .depth()
             .expect("search context schedules are validated");
         MaxSatDescent {
-            prophunt: PropHunt::new(ctx.code.clone(), config),
+            prophunt: PropHunt::new(
+                ctx.code.clone(),
+                config,
+                Runtime::new(RuntimeConfig::new(1, 16, seed)),
+            ),
             schedule: ctx.initial.clone(),
             depth,
             iterations: ctx.obs.counter("search.maxsat.iterations"),

@@ -5,10 +5,10 @@ use crate::strategy::{Incumbent, SearchContext, SearchParams, StrategyKind};
 use crate::Strategy;
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_circuit::CircuitError;
-use prophunt_obs::{Counter, Obs};
+use prophunt_obs::Counter;
 use prophunt_qec::surface::SurfaceLayout;
 use prophunt_qec::CssCode;
-use prophunt_runtime::{Runtime, RuntimeConfig};
+use prophunt_runtime::Runtime;
 use std::sync::Mutex;
 
 /// Provenance label of the starting schedule while it is still the incumbent.
@@ -22,7 +22,8 @@ mod stream {
     pub const ROUND: u64 = 102;
 }
 
-/// Configuration of a portfolio run.
+/// Algorithm knobs of a portfolio run. Threads, seed and observability
+/// belong to the [`Runtime`] passed to [`Portfolio::new`].
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
     /// The strategy mix. Instance slot `i` runs `strategies[i % len]`, so a
@@ -32,10 +33,6 @@ pub struct PortfolioConfig {
     pub portfolio_size: usize,
     /// Number of synchronized rounds.
     pub rounds: usize,
-    /// The shared parallel runtime (threads / chunk size / base seed). The
-    /// result is a pure function of `(seed, chunk_size)`; `threads` is
-    /// wall-clock only.
-    pub runtime: RuntimeConfig,
     /// Strategy tuning knobs.
     pub params: SearchParams,
 }
@@ -48,15 +45,8 @@ impl PortfolioConfig {
             strategies: StrategyKind::ALL.to_vec(),
             portfolio_size: StrategyKind::ALL.len(),
             rounds: 4,
-            runtime: RuntimeConfig::new(4, 16, 0x5eed_0004),
             params: SearchParams::default(),
         }
-    }
-
-    /// Overrides the base seed.
-    pub fn with_seed(mut self, seed: u64) -> PortfolioConfig {
-        self.runtime.seed = seed;
-        self
     }
 }
 
@@ -117,19 +107,17 @@ pub struct Portfolio {
 }
 
 impl Portfolio {
-    /// Creates a portfolio executor from `config` (observability disabled).
-    pub fn new(config: PortfolioConfig) -> Portfolio {
-        Portfolio::with_obs(config, Obs::disabled())
-    }
-
-    /// Creates a portfolio executor recording into `obs`: round/proposal/dedup
+    /// Creates a portfolio executor from `config` that steps its instances on
+    /// `runtime`. The result is a pure function of the runtime's seed; its
+    /// thread count is wall-clock only.
+    ///
+    /// The runtime's observability handle receives round/proposal/dedup
     /// counters, per-arm `search.<arm>.*` counters from the strategies, the
-    /// `search.round.ns` span histogram, and the shared runtime's pool metrics.
-    /// All search counters are updated either at the single-threaded round
-    /// boundary or by deterministic strategy steps, so they stay bit-identical
-    /// at any thread count.
-    pub fn with_obs(config: PortfolioConfig, obs: Obs) -> Portfolio {
-        let runtime = Runtime::with_obs(config.runtime, obs);
+    /// `search.round.ns` span histogram, and the pool metrics. All search
+    /// counters are updated either at the single-threaded round boundary or
+    /// by deterministic strategy steps, so they stay bit-identical at any
+    /// thread count.
+    pub fn new(config: PortfolioConfig, runtime: Runtime) -> Portfolio {
         Portfolio { config, runtime }
     }
 
@@ -424,7 +412,13 @@ impl Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prophunt_obs::Obs;
     use prophunt_qec::surface::rotated_surface_code_with_layout;
+    use prophunt_runtime::RuntimeConfig;
+
+    fn runtime(threads: usize) -> Runtime {
+        Runtime::new(RuntimeConfig::new(threads, 16, 11))
+    }
 
     fn local_config() -> PortfolioConfig {
         // Local-search arms only: fast enough for unit tests.
@@ -436,7 +430,6 @@ mod tests {
             ],
             portfolio_size: 3,
             rounds: 4,
-            runtime: RuntimeConfig::new(3, 16, 11),
             params: SearchParams::default(),
         }
     }
@@ -446,7 +439,7 @@ mod tests {
         let (code, _) = rotated_surface_code_with_layout(3);
         let initial = ScheduleSpec::coloration(&code);
         let initial_depth = initial.depth().unwrap();
-        let result = Portfolio::new(local_config())
+        let result = Portfolio::new(local_config(), runtime(3))
             .run(&code, None, &initial, |_| {})
             .unwrap();
         assert_eq!(result.initial_depth, initial_depth);
@@ -470,7 +463,7 @@ mod tests {
         let (code, _) = rotated_surface_code_with_layout(3);
         let initial = ScheduleSpec::coloration(&code);
         let mut streamed = Vec::new();
-        let result = Portfolio::new(local_config())
+        let result = Portfolio::new(local_config(), runtime(3))
             .run(&code, None, &initial, |r| streamed.push(r.clone()))
             .unwrap();
         assert_eq!(streamed, result.rounds);
@@ -493,9 +486,7 @@ mod tests {
         let (code, _) = rotated_surface_code_with_layout(3);
         let initial = ScheduleSpec::coloration(&code);
         let run = |threads: usize| {
-            let mut config = local_config();
-            config.runtime.threads = threads;
-            Portfolio::new(config)
+            Portfolio::new(local_config(), runtime(threads))
                 .run(&code, None, &initial, |_| {})
                 .unwrap()
         };
@@ -515,10 +506,9 @@ mod tests {
         let (code, _) = rotated_surface_code_with_layout(3);
         let initial = ScheduleSpec::coloration(&code);
         let run = |threads: usize| {
-            let mut config = local_config();
-            config.runtime.threads = threads;
             let obs = Obs::enabled();
-            Portfolio::with_obs(config, obs.clone())
+            let runtime = Runtime::with_obs(RuntimeConfig::new(threads, 16, 11), obs.clone());
+            Portfolio::new(local_config(), runtime)
                 .run(&code, None, &initial, |_| {})
                 .unwrap();
             obs.snapshot().unwrap()
@@ -556,11 +546,10 @@ mod tests {
         let (code, _) = rotated_surface_code_with_layout(3);
         let initial = ScheduleSpec::coloration(&code);
         let run = |threads: usize| {
-            let mut config = local_config();
-            config.runtime.threads = threads;
             let tracer = prophunt_obs::Tracer::new();
             let obs = Obs::enabled().with_tracer(tracer.clone());
-            let result = Portfolio::with_obs(config, obs)
+            let runtime = Runtime::with_obs(RuntimeConfig::new(threads, 16, 11), obs);
+            let result = Portfolio::new(local_config(), runtime)
                 .run(&code, None, &initial, |_| {})
                 .unwrap();
             let diags: Vec<_> = tracer
@@ -629,13 +618,13 @@ mod tests {
                 ..local_config()
             },
         ] {
-            assert!(Portfolio::new(broken)
+            assert!(Portfolio::new(broken, runtime(3))
                 .run(&code, None, &initial, |_| {})
                 .is_err());
         }
         // A schedule for the wrong code is rejected by validation.
         let (code5, _) = rotated_surface_code_with_layout(5);
-        assert!(Portfolio::new(local_config())
+        assert!(Portfolio::new(local_config(), runtime(3))
             .run(&code5, None, &initial, |_| {})
             .is_err());
     }
@@ -648,10 +637,9 @@ mod tests {
             strategies: vec![StrategyKind::HillClimb, StrategyKind::Annealing],
             portfolio_size: 5,
             rounds: 1,
-            runtime: RuntimeConfig::new(2, 16, 3),
             params: SearchParams::default(),
         };
-        let result = Portfolio::new(config)
+        let result = Portfolio::new(config, Runtime::new(RuntimeConfig::new(2, 16, 3)))
             .run(&code, None, &initial, |_| {})
             .unwrap();
         let names: Vec<&str> = result.rounds[0]

@@ -7,6 +7,7 @@
 use prophunt_suite::circuit::schedule::ScheduleSpec;
 use prophunt_suite::core::{PropHunt, PropHuntConfig};
 use prophunt_suite::qec::surface::rotated_surface_code_with_layout;
+use prophunt_suite::runtime::{Runtime, RuntimeConfig};
 
 fn main() {
     for d in [3usize] {
@@ -14,7 +15,8 @@ fn main() {
         let coloration = ScheduleSpec::coloration(&code);
         let hand = ScheduleSpec::surface_hand_designed(&code, &layout);
 
-        let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(d));
+        let runtime = Runtime::new(RuntimeConfig::new(4, 16, 0x5eed_0001));
+        let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(d), runtime);
         let d_eff_coloration = prophunt.estimate_effective_distance(&coloration, 15);
         let d_eff_hand = prophunt.estimate_effective_distance(&hand, 15);
 

@@ -162,19 +162,16 @@ fn optimize_jobs_match_the_legacy_prophunt_surface() {
     // (seed, chunk_size) must reproduce the exact legacy optimizer result.
     use prophunt_suite::core::{PropHunt, PropHuntConfig};
     use prophunt_suite::qec::surface::rotated_surface_code_with_layout;
+    use prophunt_suite::runtime::Runtime;
 
     let (code, layout) = rotated_surface_code_with_layout(3);
     let poor = ScheduleSpec::surface_poor(&code, &layout);
-    let config = PropHuntConfig::quick(3).with_seed(11);
-    let legacy = PropHunt::new(code.clone(), config.clone())
+    let config = RuntimeConfig::new(4, 16, 11);
+    let legacy = PropHunt::new(code.clone(), PropHuntConfig::quick(3), Runtime::new(config))
         .try_optimize(poor.clone())
         .unwrap();
 
-    let mut session = Session::new(RuntimeConfig::new(
-        config.runtime.threads,
-        config.runtime.chunk_size,
-        11,
-    ));
+    let mut session = Session::new(config);
     let spec = ExperimentSpec::builder()
         .code_with_layout(code, layout)
         .schedule(ScheduleSource::Explicit(poor))

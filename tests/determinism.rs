@@ -40,9 +40,8 @@ fn estimate_fixed(
 fn optimize_poor_d3(threads: usize) -> OptimizationResult {
     let (code, layout) = rotated_surface_code_with_layout(3);
     let poor = ScheduleSpec::surface_poor(&code, &layout);
-    let mut config = PropHuntConfig::quick(3).with_seed(11);
-    config.runtime.threads = threads;
-    PropHunt::new(code, config)
+    let runtime = Runtime::new(RuntimeConfig::new(threads, 16, 11));
+    PropHunt::new(code, PropHuntConfig::quick(3), runtime)
         .try_optimize(poor)
         .expect("poor schedule is valid")
 }
@@ -77,9 +76,9 @@ fn effective_distance_is_identical_across_thread_counts() {
     let (code, layout) = rotated_surface_code_with_layout(3);
     let poor = ScheduleSpec::surface_poor(&code, &layout);
     let estimate = |threads: usize| {
-        let mut config = PropHuntConfig::quick(3).with_seed(7);
-        config.runtime.threads = threads;
-        PropHunt::new(code.clone(), config).estimate_effective_distance(&poor, 12)
+        let runtime = Runtime::new(RuntimeConfig::new(threads, 16, 7));
+        PropHunt::new(code.clone(), PropHuntConfig::quick(3), runtime)
+            .estimate_effective_distance(&poor, 12)
     };
     let reference = estimate(1);
     assert_eq!(reference, Some(2), "poor d=3 schedule has d_eff = 2");

@@ -78,7 +78,11 @@ fn prophunt_improves_a_poor_surface_schedule_end_to_end() {
     // a direct Monte-Carlo comparison.
     let (code, layout) = rotated_surface_code_with_layout(3);
     let poor = ScheduleSpec::surface_poor(&code, &layout);
-    let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(3).with_seed(3));
+    let prophunt = PropHunt::new(
+        code.clone(),
+        PropHuntConfig::quick(3),
+        Runtime::new(RuntimeConfig::new(4, 16, 3)),
+    );
     let result = prophunt.try_optimize(poor.clone()).unwrap();
     assert!(result.total_changes_applied() >= 1);
 

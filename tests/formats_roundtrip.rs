@@ -138,8 +138,8 @@ fn exported_schedule_resumes_to_the_same_final_depth() {
     // the same final depth.
     let (code, _) = rotated_surface_code_with_layout(3);
     let initial = ScheduleSpec::coloration(&code);
-    let config = PropHuntConfig::quick(3).with_seed(11);
-    let prophunt = PropHunt::new(code.clone(), config);
+    let runtime = Runtime::new(RuntimeConfig::new(4, 16, 11));
+    let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(3), runtime);
     let first = prophunt.try_optimize(initial).unwrap();
 
     let schedule_file = write_schedule(&first.final_schedule);
@@ -248,9 +248,9 @@ fn optimization_reports_round_trip_through_json_lines() {
         samples_per_iteration: 15,
         ..PropHuntConfig::quick(3)
     };
-    let seed = config.seed();
-    let chunk = config.runtime.chunk_size;
-    let prophunt = PropHunt::new(code.clone(), config);
+    let runtime = RuntimeConfig::new(4, 16, 0x5eed_0001);
+    let (seed, chunk) = (runtime.seed, runtime.chunk_size);
+    let prophunt = PropHunt::new(code.clone(), config, Runtime::new(runtime));
 
     // Stream records through the observer exactly like `prophunt optimize` does.
     let mut streamed = Vec::new();
@@ -270,7 +270,8 @@ fn dem_export_of_an_optimized_schedule_round_trips_with_identical_ler() {
     // parse it back, and compare Monte-Carlo failure counts bit-for-bit.
     let (code, layout) = rotated_surface_code_with_layout(3);
     let poor = ScheduleSpec::surface_poor(&code, &layout);
-    let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(3).with_seed(7));
+    let runtime = Runtime::new(RuntimeConfig::new(4, 16, 7));
+    let prophunt = PropHunt::new(code.clone(), PropHuntConfig::quick(3), runtime);
     let result = prophunt.try_optimize(poor).unwrap();
     let exp = MemoryExperiment::build(&code, &result.final_schedule, 3, MemoryBasis::Z).unwrap();
     let dem = DetectorErrorModel::from_experiment(&exp, &NoiseModel::uniform_depolarizing(3e-3));

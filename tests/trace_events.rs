@@ -6,7 +6,7 @@
 //! though the timestamps are not.
 
 use prophunt_suite::api::{
-    DecoderRegistry, ExperimentSpec, LerJob, SearchJob, Session, ShotBudget,
+    DecoderRegistry, ExperimentSpec, LerJob, OptimizeJob, SearchJob, Session, ShotBudget,
 };
 use prophunt_suite::formats::trace_event_to_record;
 use prophunt_suite::obs::{Obs, TraceLog, Tracer, DIAG_CATEGORY};
@@ -107,6 +107,71 @@ fn traced_ler_matches_untraced_and_its_span_census_is_thread_independent() {
     assert!(censuses[0]
         .iter()
         .any(|(name, _, count)| name == "ler.chunk" && *count == 8));
+}
+
+#[test]
+fn traced_optimize_matches_untraced_and_its_span_census_is_thread_independent() {
+    let spec = ExperimentSpec::builder()
+        .code_family("surface:3")
+        .unwrap()
+        .build()
+        .unwrap();
+    let job = OptimizeJob::new(spec)
+        .with_iterations(2)
+        .with_samples(20)
+        .with_seed(11);
+
+    let mut plain = Session::new(RuntimeConfig::new(4, 64, 11));
+    let baseline = plain.run_optimize_quiet(&job).unwrap();
+
+    let mut censuses = Vec::new();
+    for threads in [1, 2, 8] {
+        let (mut session, tracer) = traced_session(threads, 11);
+        let outcome = session.run_optimize_quiet(&job).unwrap();
+        assert_eq!(
+            outcome.result.records, baseline.result.records,
+            "threads {threads}: tracing changed the optimizer records"
+        );
+        let log = tracer.drain();
+        assert_eq!(log.dropped, 0);
+        let job_id = log
+            .events
+            .iter()
+            .find(|e| e.name == "job.optimize" && e.cat == "job")
+            .expect("job.optimize span")
+            .id;
+        // The optimizer's stages run on the session's runtime, so its pool
+        // calls nest under the job span.
+        let under_job = |mut parent: u64| {
+            while parent != 0 {
+                if parent == job_id {
+                    return true;
+                }
+                parent = log
+                    .events
+                    .iter()
+                    .find(|e| e.id == parent)
+                    .map_or(0, |e| e.parent);
+            }
+            false
+        };
+        assert!(log
+            .events
+            .iter()
+            .any(|e| e.name == "runtime.call" && under_job(e.parent)));
+        assert!(log.events.iter().any(|e| e.name == "runtime.task"));
+        censuses.push(span_census(&log));
+    }
+    // One task per sample, subgraph and candidate: the same spans exist at
+    // any thread count, in the same numbers.
+    assert_eq!(
+        censuses[0], censuses[1],
+        "span census differs between 1 and 2 threads"
+    );
+    assert_eq!(
+        censuses[0], censuses[2],
+        "span census differs between 1 and 8 threads"
+    );
 }
 
 #[test]
