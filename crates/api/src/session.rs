@@ -190,6 +190,7 @@ impl Session {
             self.obs.inc("session.cache.dem.hit");
             return Ok(Arc::clone(dem));
         }
+        let _span = self.obs.span("session.dem", "session");
         let experiment = self.experiment(spec, basis)?;
         let dem = Arc::new(DetectorErrorModel::from_experiment(
             &experiment,
@@ -217,6 +218,7 @@ impl Session {
             self.obs.inc("session.cache.decoder.hit");
             return Ok(Arc::clone(decoder));
         }
+        let _span = self.obs.span("session.decoder", "session");
         let dem = self.dem(spec, basis)?;
         let decoder = self.registry.build(spec.decoder(), &dem)?;
         self.obs.inc("session.cache.decoder.miss");
@@ -240,8 +242,7 @@ impl Session {
         job: &LerJob,
         mut observer: impl FnMut(&Event),
     ) -> Result<LerOutcome, ApiError> {
-        let span = self.obs.span("job.ler.ns");
-        let _trace = self.obs.tracer().map(|t| t.span("job.ler", "job"));
+        let span = self.obs.span("job.ler", "job");
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
         observer(&Event::JobStarted {
             kind: JobKind::Ler,
@@ -320,8 +321,7 @@ impl Session {
         mut observer: impl FnMut(&Event),
     ) -> Result<OptimizeOutcome, ApiError> {
         require_samples(job.samples_per_iteration)?;
-        let span = self.obs.span("job.optimize.ns");
-        let _trace = self.obs.tracer().map(|t| t.span("job.optimize", "job"));
+        let span = self.obs.span("job.optimize", "job");
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
         let mut config = PropHuntConfig::quick(job.spec.rounds());
         config.iterations = job.iterations;
@@ -390,8 +390,7 @@ impl Session {
         mut observer: impl FnMut(&Event),
     ) -> Result<SearchOutcome, ApiError> {
         require_samples(job.samples_per_iteration)?;
-        let span = self.obs.span("job.search.ns");
-        let _trace = self.obs.tracer().map(|t| t.span("job.search", "job"));
+        let span = self.obs.span("job.search", "job");
         let seed = job.seed.unwrap_or(self.runtime.config().seed);
         observer(&Event::JobStarted {
             kind: JobKind::Search,
@@ -466,8 +465,7 @@ impl Session {
         decode_cache: DecodeCache,
         mut observer: impl FnMut(&Event),
     ) -> Result<LerOutcome, ApiError> {
-        let span = self.obs.span("job.ler.ns");
-        let _trace = self.obs.tracer().map(|t| t.span("job.ler", "job"));
+        let span = self.obs.span("job.ler", "job");
         let decoder = self.registry.build(decoder_name, dem)?;
         observer(&Event::JobStarted {
             kind: JobKind::Ler,

@@ -40,6 +40,19 @@ struct TraceSpan {
     dur: u64,
 }
 
+impl TraceSpan {
+    /// End timestamp, saturating: `ts` and `dur` come from the file and may
+    /// be anything up to `u64::MAX`.
+    fn end(&self) -> u64 {
+        self.ts.saturating_add(self.dur)
+    }
+}
+
+/// Sums file-supplied values without overflowing.
+fn saturating_sum(values: impl Iterator<Item = u64>) -> u64 {
+    values.fold(0, u64::saturating_add)
+}
+
 /// One deterministic diagnostic record (`cat == "diag"`).
 struct DiagRecord {
     name: String,
@@ -140,7 +153,7 @@ fn utilization_section(spans: &[TraceSpan], width: usize) -> String {
         return "pool utilization: no runtime.task spans\n".to_string();
     }
     let start = tasks.iter().map(|s| s.ts).min().unwrap_or(0);
-    let end = tasks.iter().map(|s| s.ts + s.dur).max().unwrap_or(0);
+    let end = tasks.iter().map(|s| s.end()).max().unwrap_or(0);
     let wall = (end - start).max(1);
     let mut lanes: Vec<u64> = tasks.iter().map(|s| s.tid).collect();
     lanes.sort_unstable();
@@ -153,18 +166,25 @@ fn utilization_section(spans: &[TraceSpan], width: usize) -> String {
     );
     for &lane in &lanes {
         let mine: Vec<&&TraceSpan> = tasks.iter().filter(|s| s.tid == lane).collect();
-        let busy: u64 = mine.iter().map(|s| s.dur).sum();
+        // Clamped to the wall: a lane's tasks never overlap in a real trace,
+        // but a hand-edited one must still print a sane percentage.
+        let busy = saturating_sum(mine.iter().map(|s| s.dur)).min(wall);
         let mut row = String::with_capacity(width);
+        // Column [c0, c1) in trace time, computed in u128 so `wall * col`
+        // cannot overflow.
+        let column = |col: usize| {
+            let at = u128::from(start) + u128::from(wall) * col as u128 / width as u128;
+            u64::try_from(at).unwrap_or(u64::MAX)
+        };
         for col in 0..width {
-            // Column [c0, c1) in trace time; shade by the overlapped fraction.
-            let c0 = start + (wall * col as u64) / width as u64;
-            let c1 = start + (wall * (col as u64 + 1)) / width as u64;
-            let overlap: u64 = mine
-                .iter()
-                .map(|s| s.ts.max(c0)..(s.ts + s.dur).min(c1))
-                .filter(|r| r.end > r.start)
-                .map(|r| r.end - r.start)
-                .sum();
+            // Shade by the overlapped fraction.
+            let (c0, c1) = (column(col), column(col + 1));
+            let overlap = saturating_sum(
+                mine.iter()
+                    .map(|s| s.ts.max(c0)..s.end().min(c1))
+                    .filter(|r| r.end > r.start)
+                    .map(|r| r.end - r.start),
+            );
             let f = overlap as f64 / (c1 - c0).max(1) as f64;
             row.push(match f {
                 f if f <= 0.0 => ' ',
@@ -197,9 +217,9 @@ fn concurrency_section(spans: &[TraceSpan]) -> String {
         .into_iter()
         .map(|name| {
             let mine: Vec<&TraceSpan> = spans.iter().filter(|s| &s.name == name).collect();
-            let busy: u64 = mine.iter().map(|s| s.dur).sum();
+            let busy = saturating_sum(mine.iter().map(|s| s.dur));
             let start = mine.iter().map(|s| s.ts).min().unwrap_or(0);
-            let end = mine.iter().map(|s| s.ts + s.dur).max().unwrap_or(0);
+            let end = mine.iter().map(|s| s.end()).max().unwrap_or(0);
             (name.clone(), mine.len(), busy, end - start)
         })
         .collect();
@@ -287,7 +307,7 @@ fn convergence_section(diags: &[DiagRecord]) -> String {
         return "search convergence: no diagnostic records (not a search trace)\n".to_string();
     }
     let last = rounds[rounds.len() - 1];
-    let improvements: u64 = rounds.iter().map(|d| arg(d, "improved")).sum();
+    let improvements = saturating_sum(rounds.iter().map(|d| arg(d, "improved")));
     let mut out = format!(
         "search convergence ({} rounds, {} improvements, final depth {}, {} rounds since \
          improvement, {} schedules seen):\n",
@@ -306,8 +326,8 @@ fn convergence_section(diags: &[DiagRecord]) -> String {
     lanes.dedup();
     for lane in lanes {
         let mine: Vec<&&DiagRecord> = arms.iter().filter(|d| d.tid == lane).collect();
-        let wins: u64 = mine.iter().map(|d| arg(d, "win")).sum();
-        let dups: u64 = mine.iter().map(|d| arg(d, "dup")).sum();
+        let wins = saturating_sum(mine.iter().map(|d| arg(d, "win")));
+        let dups = saturating_sum(mine.iter().map(|d| arg(d, "dup")));
         out.push_str(&format!(
             "  arm {lane}: {} rounds, {wins} wins, {dups} duplicate incumbents\n",
             mine.len()
@@ -327,7 +347,7 @@ fn convergence_section(diags: &[DiagRecord]) -> String {
     for strategy in strategies {
         let full = format!("search.strategy.{strategy}");
         let mine: Vec<&DiagRecord> = diags.iter().filter(|d| d.name == full).collect();
-        let total = |key: &str| -> u64 { mine.iter().map(|d| arg(d, key)).sum() };
+        let total = |key: &str| saturating_sum(mine.iter().map(|d| arg(d, key)));
         // `proposals` counts incumbent submissions (one per arm per round);
         // the move-acceptance rate comes from the accept/revert tallies the
         // local-search strategies keep per mutation step. Strategy-specific
@@ -337,7 +357,7 @@ fn convergence_section(diags: &[DiagRecord]) -> String {
             format!("{} wins", total("wins")),
         ];
         let (accepts, reverts) = (total("accepts"), total("reverts"));
-        let moves = accepts + reverts;
+        let moves = accepts.saturating_add(reverts);
         if moves > 0 {
             parts.push(format!(
                 "{accepts}/{moves} moves accepted ({:.1}%)",
@@ -404,7 +424,7 @@ mod tests {
     }
 
     /// The golden span fixture: one runtime.call holding three tasks across two
-    /// workers, the longest task holding an ler.chunk with two stage completes.
+    /// workers, the longest task holding an ler.chunk with two stage spans.
     fn fixture_spans() -> Vec<TraceSpan> {
         vec![
             span("runtime.call", 0, 1, 0, 0, 10_000),
@@ -468,6 +488,44 @@ mod tests {
         let lane2 = section.lines().find(|l| l.contains("worker 2")).unwrap();
         assert!(lane2.contains("[##########]"), "{section}");
         assert!(lane2.contains("100.0% busy"), "{section}");
+    }
+
+    #[test]
+    fn huge_timestamps_and_durations_saturate_instead_of_overflowing() {
+        let spans = vec![
+            span("runtime.call", 0, 1, 0, 5, u64::MAX),
+            span("runtime.task", 1, 2, 1, 5, u64::MAX),
+            span("runtime.task", 1, 3, 1, u64::MAX, u64::MAX),
+            span("runtime.task", 2, 4, 1, u64::MAX - 1, 1),
+        ];
+        let section = utilization_section(&spans, 50);
+        for line in section.lines().filter(|l| l.contains("% busy")) {
+            let pct: f64 = line
+                .split('%')
+                .next()
+                .and_then(|head| head.split_whitespace().last())
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no busy % in {line:?}"));
+            assert!(pct <= 100.0, "{section}");
+        }
+        concurrency_section(&spans);
+        critical_path_section(&spans);
+        // A zero-length trace pinned at the last representable instant.
+        utilization_section(&[span("runtime.task", 1, 1, 0, u64::MAX, 0)], 50);
+        let huge = [("improved", u64::MAX), ("win", u64::MAX), ("dup", u64::MAX)];
+        let diags = vec![
+            diag("search.round", 0, &huge),
+            diag("search.round", 0, &huge),
+            diag("search.arm", 0, &huge),
+            diag("search.arm", 0, &huge),
+            diag("search.strategy.anneal", 0, &[("accepts", u64::MAX)]),
+            diag(
+                "search.strategy.anneal",
+                0,
+                &[("accepts", u64::MAX), ("reverts", u64::MAX)],
+            ),
+        ];
+        convergence_section(&diags);
     }
 
     #[test]

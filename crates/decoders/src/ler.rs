@@ -24,9 +24,8 @@ use crate::batch::{decode_shots_cached, DecodeCache, DecodeStats};
 use crate::Decoder;
 use prophunt_circuit::DetectorErrorModel;
 use prophunt_gf2::{transpose_lane_words, BitVec};
-use prophunt_obs::{duration_ns, Histogram, Obs, Tracer};
+use prophunt_obs::{Obs, Timer};
 use prophunt_runtime::{Runtime, SeedStream};
-use std::time::Instant;
 
 /// The result of a Monte-Carlo logical-error-rate estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -272,6 +271,7 @@ pub fn estimate_logical_error_rate(
     // function of (seed, chunk_size, budget), never of the thread count.
     let obs = runtime.obs();
     let counters = LER_COUNTERS.map(|name| obs.counter(name));
+    let timers = FrameTimers::new(obs);
     while done < total_chunks {
         // One wave of chunks. The wave size is a wall-clock knob only: stopping is
         // decided by an in-order scan below, so overshooting a wave never changes
@@ -286,7 +286,7 @@ pub fn estimate_logical_error_rate(
                 chunk_shots,
                 stream.seed_for(c as u64),
                 cache,
-                obs,
+                &timers,
             )
         });
         for (i, partial) in results.into_iter().enumerate() {
@@ -333,56 +333,23 @@ impl ChunkResult {
     }
 }
 
-/// The frame kernel's stages: trace-event name and histogram name, indexed by
-/// [`SAMPLE`], [`TRANSPOSE`] and [`DECODE`].
-const STAGES: [(&str, &str); 3] = [
-    ("ler.frames.sample", "ler.frames.sample.ns"),
-    ("ler.frames.transpose", "ler.frames.transpose.ns"),
-    ("ler.frames.decode", "ler.frames.decode.ns"),
-];
-const SAMPLE: usize = 0;
-const TRANSPOSE: usize = 1;
-const DECODE: usize = 2;
-
-/// A chunk's stage instruments, hoisted once per chunk: a histogram per stage
-/// when the runtime carries a registry, and the tracer when one is attached.
-/// With neither, the kernel never reads the clock.
-struct StageClock<'a> {
-    histograms: [Option<Histogram>; 3],
-    tracer: Option<&'a Tracer>,
+/// The frame kernel's timed regions, built once per estimate. With neither a
+/// registry nor a tracer attached, the kernel never reads the clock.
+struct FrameTimers {
+    chunk: Timer,
+    sample: Timer,
+    transpose: Timer,
+    decode: Timer,
 }
 
-impl<'a> StageClock<'a> {
-    fn new(obs: &'a Obs) -> StageClock<'a> {
-        StageClock {
-            histograms: STAGES.map(|(_, histogram)| obs.histogram(histogram)),
-            tracer: obs.tracer(),
+impl FrameTimers {
+    fn new(obs: &Obs) -> FrameTimers {
+        FrameTimers {
+            chunk: obs.timer("ler.chunk", "ler"),
+            sample: obs.timer("ler.frames.sample", "ler.stage"),
+            transpose: obs.timer("ler.frames.transpose", "ler.stage"),
+            decode: obs.timer("ler.frames.decode", "ler.stage"),
         }
-    }
-
-    /// Starts a stage: the current instant, or `None` when nothing records.
-    fn start(&self) -> Option<Instant> {
-        let on = self.histograms[SAMPLE].is_some() || self.tracer.is_some();
-        // lint: allow(no-wall-clock) — timing seam: the stamps feed the obs
-        // stage histograms and trace stage blocks only; decode results never
-        // depend on the clock.
-        on.then(Instant::now)
-    }
-
-    /// Ends `stage` begun at `start`, records it, and returns the end instant
-    /// so the next stage can start there.
-    fn lap(&self, stage: usize, start: Option<Instant>, args: &[(&str, u64)]) -> Option<Instant> {
-        let start = start?;
-        // lint: allow(no-wall-clock) — timing seam (same stage outputs).
-        let end = Instant::now();
-        let ns = duration_ns(end.duration_since(start));
-        if let Some(histogram) = &self.histograms[stage] {
-            histogram.record(ns);
-        }
-        if let Some(tracer) = self.tracer {
-            tracer.complete(STAGES[stage].0, "ler.stage", start, ns, args);
-        }
-        Some(end)
     }
 }
 
@@ -392,41 +359,43 @@ fn run_chunk(
     shots: usize,
     seed: u64,
     cache: DecodeCache,
-    obs: &Obs,
+    timers: &FrameTimers,
 ) -> ChunkResult {
     let mut sampler = dem.sampler(seed);
     let mut det_frames = vec![0u64; dem.num_detectors()];
     let mut obs_frames = vec![0u64; dem.num_observables()];
     let mut det_shots: Vec<BitVec> = Vec::with_capacity(shots);
     let mut obs_shots: Vec<BitVec> = Vec::with_capacity(shots);
-    let clock = StageClock::new(obs);
-    let chunk_trace = clock.tracer.map(|t| t.span("ler.chunk", "ler"));
+    let chunk_span = timers.chunk.start();
     // Sample and transpose every 64-lane block first, then decode the whole
     // chunk at once so the syndrome-dedup cache sees the full chunk's
     // duplicate structure.
     let mut remaining = shots;
     while remaining > 0 {
         let lanes = remaining.min(64);
-        let t = clock.start();
+        let mut span = timers.sample.start();
+        if let Some(span) = &mut span {
+            span.arg("lanes", lanes as u64);
+        }
         sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
-        let t = clock.lap(SAMPLE, t, &[("lanes", lanes as u64)]);
+        drop(span);
+        let span = timers.transpose.start();
         det_shots.extend(transpose_lane_words(&det_frames, lanes));
         obs_shots.extend(transpose_lane_words(&obs_frames, lanes));
-        clock.lap(TRANSPOSE, t, &[]);
+        drop(span);
         remaining -= lanes;
     }
-    let t = clock.start();
+    let span = timers.decode.start();
     let (predictions, decode) = decode_shots_cached(decoder, &det_shots, cache);
-    clock.lap(DECODE, t, &[]);
+    drop(span);
     let failures = predictions
         .iter()
         .zip(&obs_shots)
         .filter(|(prediction, observed)| prediction != observed)
         .count();
-    if let Some(mut span) = chunk_trace {
+    if let Some(mut span) = chunk_span {
         span.arg("shots", shots as u64);
         span.arg("failures", failures as u64);
-        span.finish();
     }
     ChunkResult {
         estimate: LogicalErrorEstimate { shots, failures },
@@ -873,7 +842,12 @@ mod tests {
                 None => reference = Some(counters),
                 Some(r) => assert_eq!(&counters, r, "at {threads} threads"),
             }
-            for (_, stage) in STAGES {
+            for stage in [
+                "ler.chunk.ns",
+                "ler.frames.sample.ns",
+                "ler.frames.transpose.ns",
+                "ler.frames.decode.ns",
+            ] {
                 assert!(
                     snap.histogram(stage).is_some_and(|h| h.count > 0),
                     "{stage} empty"
@@ -903,7 +877,11 @@ mod tests {
         let log = tracer.drain();
         let chunk_spans = log.events.iter().filter(|e| e.name == "ler.chunk").count();
         assert!(chunk_spans > 0, "no ler.chunk spans");
-        for (stage, _) in STAGES {
+        for stage in [
+            "ler.frames.sample",
+            "ler.frames.transpose",
+            "ler.frames.decode",
+        ] {
             let n = log.events.iter().filter(|e| e.name == stage).count();
             assert!(n > 0, "no {stage} events");
         }

@@ -40,7 +40,7 @@ use crate::json::Json;
 use crate::schedule::{parse_schedule, write_schedule};
 use prophunt::{IterationRecord, OptimizationResult};
 use prophunt_circuit::MemoryBasis;
-use prophunt_obs::{HistogramSnapshot, Snapshot};
+use prophunt_obs::{HistogramSnapshot, Snapshot, HISTOGRAM_BUCKETS};
 
 /// One record of a JSON-lines run report.
 #[derive(Debug, Clone, PartialEq)]
@@ -394,6 +394,16 @@ fn parse_metrics_histogram(entry: &Json) -> Result<MetricsHistogram, FormatError
             }
             .ok_or_else(|| {
                 FormatError::whole_input("metrics histogram buckets must be [index, count] pairs")
+            })
+            .and_then(|(index, count)| {
+                if index < HISTOGRAM_BUCKETS as u64 {
+                    Ok((index, count))
+                } else {
+                    Err(FormatError::whole_input(format!(
+                        "metrics histogram bucket index {index} is out of range 0..={}",
+                        HISTOGRAM_BUCKETS - 1
+                    )))
+                }
             })
         })
         .collect::<Result<Vec<(u64, u64)>, FormatError>>()?;
@@ -1484,6 +1494,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("buckets"), "{}", err.message);
+        // A bucket index past the last log2 bucket is a typed error, not a
+        // panic in the quantile math downstream.
+        let err = parse_report(
+            "{\"type\":\"metrics\",\"histograms\":[{\"name\":\"h\",\"count\":1,\"sum\":2,\
+             \"buckets\":[[99,1]]}]}\n",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("out of range"), "{}", err.message);
+        assert!(parse_report(
+            "{\"type\":\"metrics\",\"histograms\":[{\"name\":\"h\",\"count\":1,\"sum\":2,\
+             \"buckets\":[[64,1]]}]}\n",
+        )
+        .is_ok());
     }
 
     #[test]

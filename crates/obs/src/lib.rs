@@ -2,17 +2,24 @@
 //!
 //! The crate provides a [`Registry`] of three typed instrument classes —
 //! monotonic [`Counter`]s, last/max [`Gauge`]s and log2-bucketed
-//! [`Histogram`]s — plus [`Span`] RAII timers that record their elapsed
-//! nanoseconds into a histogram on drop. Every instrument is a named
-//! `Arc<AtomicU64>`-backed cell: acquiring a handle takes a registry lock
-//! once, after which recording is a single relaxed atomic op, safe to share
-//! across the deterministic worker pool.
+//! [`Histogram`]s. Every instrument is a named `Arc<AtomicU64>`-backed cell:
+//! acquiring a handle takes a registry lock once, after which recording is a
+//! single relaxed atomic op, safe to share across the deterministic worker
+//! pool.
 //!
 //! The [`Obs`] wrapper is the form the rest of the workspace threads around:
 //! a cloneable `Option<Arc<Registry>>` whose disabled state (the default)
 //! turns every recording call into a branch on a `None` — instrumentation is
 //! strictly out-of-band of the splitmix64 seed streams and costs near zero
 //! when no registry is attached.
+//!
+//! # Timed regions
+//!
+//! [`Obs::span`] (and [`Obs::timer`] for regions opened in a hot loop) is the
+//! one way a region is timed: a [`Span`] records its nanoseconds into the
+//! histogram `<name>.ns` and, when a [`Tracer`] is attached, one trace span
+//! `name` with the same start and end. With both attached, every span `X` in
+//! a trace therefore has a histogram `X.ns` with one observation per event.
 //!
 //! # Determinism contract
 //!
@@ -411,13 +418,6 @@ impl Obs {
         self.tracer.as_ref()
     }
 
-    /// Opens a trace span, or `None` when no tracer is attached. See
-    /// [`Tracer::span`].
-    #[must_use]
-    pub fn trace_span(&self, name: &str, cat: &str) -> Option<TraceSpan> {
-        self.tracer.as_ref().map(|t| t.span(name, cat))
-    }
-
     /// The attached registry, if any.
     #[must_use]
     pub fn registry(&self) -> Option<&Arc<Registry>> {
@@ -470,15 +470,30 @@ impl Obs {
         }
     }
 
-    /// Starts an RAII span timer recording into the named histogram (in
-    /// nanoseconds) when it drops or [`Span::finish`]es. The span measures
-    /// wall time even when disabled — [`Span::finish`] still returns the
-    /// elapsed duration — but records nothing.
+    /// Opens a timed region `name` (trace category `cat`): on
+    /// [`Span::finish`] or drop it records its nanoseconds into the histogram
+    /// `<name>.ns` when a registry is attached, and one trace span `name` when
+    /// a tracer is attached. The span measures wall time even when both are
+    /// off — [`Span::finish`] still returns the elapsed duration — so callers
+    /// report timing fields and export instruments through one code path.
     #[must_use]
-    pub fn span(&self, name: &str) -> Span {
-        Span {
-            hist: self.histogram(name),
-            start: Instant::now(),
+    pub fn span(&self, name: &'static str, cat: &'static str) -> Span {
+        self.timer(name, cat).open(None)
+    }
+
+    /// A [`Span`] factory for a region opened many times (a pool task, a
+    /// kernel stage): the `<name>.ns` histogram is looked up once here, and
+    /// [`Timer::start`] reads no clock when both planes are off.
+    #[must_use]
+    pub fn timer(&self, name: &'static str, cat: &'static str) -> Timer {
+        Timer {
+            name,
+            cat,
+            hist: self
+                .registry
+                .as_ref()
+                .map(|r| r.histogram(&format!("{name}.ns"))),
+            tracer: self.tracer.clone(),
         }
     }
 
@@ -489,15 +504,73 @@ impl Obs {
     }
 }
 
-/// RAII timer from [`Obs::span`]: records its elapsed nanoseconds into a
-/// histogram exactly once, on [`Span::finish`] or on drop.
+/// One timed region, hoisted out of a hot loop: from [`Obs::timer`].
+#[derive(Debug)]
+pub struct Timer {
+    name: &'static str,
+    cat: &'static str,
+    hist: Option<Histogram>,
+    tracer: Option<Tracer>,
+}
+
+impl Timer {
+    /// Opens a span parented (in the trace) to the current thread's innermost
+    /// open span, or `None` when neither a registry nor a tracer is attached.
+    #[must_use]
+    pub fn start(&self) -> Option<Span> {
+        self.is_on().then(|| self.open(None))
+    }
+
+    /// As [`Timer::start`], with an explicit trace parent id (0 = none): the
+    /// cross-thread form that parents worker-side spans under [`Span::id`].
+    #[must_use]
+    pub fn start_child_of(&self, parent: u64) -> Option<Span> {
+        self.is_on().then(|| self.open(Some(parent)))
+    }
+
+    fn is_on(&self) -> bool {
+        self.hist.is_some() || self.tracer.is_some()
+    }
+
+    fn open(&self, parent: Option<u64>) -> Span {
+        let start = Instant::now();
+        Span {
+            hist: self.hist.clone(),
+            trace: self
+                .tracer
+                .as_ref()
+                .map(|t| t.open(self.name, self.cat, parent, start)),
+            start,
+        }
+    }
+}
+
+/// An open timed region from [`Obs::span`] or a [`Timer`]: records both
+/// planes — histogram and trace span — exactly once, on [`Span::finish`] or
+/// on drop, with the same start and end instants.
 #[derive(Debug)]
 pub struct Span {
     hist: Option<Histogram>,
+    trace: Option<TraceSpan>,
     start: Instant,
 }
 
 impl Span {
+    /// Attaches a named `u64` argument to the trace span (no-op without a
+    /// tracer).
+    pub fn arg(&mut self, key: &str, value: u64) {
+        if let Some(trace) = &mut self.trace {
+            trace.arg(key, value);
+        }
+    }
+
+    /// The trace span's id, for parenting spans on other threads (0 without a
+    /// tracer).
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.trace.as_ref().map_or(0, TraceSpan::id)
+    }
+
     /// Elapsed wall time so far, without ending the span.
     #[must_use]
     pub fn elapsed(&self) -> Duration {
@@ -505,14 +578,18 @@ impl Span {
     }
 
     /// Ends the span, records it, and returns the elapsed wall time.
-    ///
-    /// The return value is measured even when the parent [`Obs`] is disabled,
-    /// so callers can use one code path for both report timing fields and
-    /// histogram export.
     pub fn finish(mut self) -> Duration {
-        let elapsed = self.start.elapsed();
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let end = Instant::now();
+        let elapsed = end.saturating_duration_since(self.start);
         if let Some(h) = self.hist.take() {
             h.record(duration_ns(elapsed));
+        }
+        if let Some(trace) = self.trace.take() {
+            trace.finish_at(end);
         }
         elapsed
     }
@@ -520,8 +597,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(h) = self.hist.take() {
-            h.record(duration_ns(self.start.elapsed()));
+        if self.hist.is_some() || self.trace.is_some() {
+            self.close();
         }
     }
 }
@@ -625,40 +702,92 @@ mod tests {
         obs.record("never.ns", 1);
         assert!(obs.counter("never").is_none());
         assert!(obs.snapshot().is_none());
-        let span = obs.span("never.ns");
+        let mut span = obs.span("never", "test");
+        span.arg("k", 1);
+        assert_eq!(span.id(), 0);
         let wall = span.finish();
         assert!(wall.as_nanos() > 0 || wall.is_zero());
     }
 
     #[test]
+    fn a_timer_starts_nothing_when_both_planes_are_off() {
+        let timer = Obs::disabled().timer("hot", "test");
+        assert!(timer.start().is_none());
+        assert!(timer.start_child_of(7).is_none());
+        // Either plane alone turns the timer on.
+        assert!(Obs::enabled().timer("hot", "test").start().is_some());
+        let traced = Obs::disabled().with_tracer(Tracer::new());
+        assert!(traced.timer("hot", "test").start().is_some());
+    }
+
+    #[test]
     fn spans_record_once_on_finish_or_drop() {
         let obs = Obs::enabled();
-        let wall = obs.span("work.ns").finish();
+        let wall = obs.span("work", "test").finish();
         {
-            let _guard = obs.span("work.ns");
+            let _guard = obs.span("work", "test");
         }
+        let timer = obs.timer("work", "test");
+        drop(timer.start());
         let snap = obs.snapshot().unwrap();
         let hs = snap.histogram("work.ns").unwrap();
-        assert_eq!(hs.count, 2);
+        assert_eq!(hs.count, 3);
         assert!(wall.as_nanos() <= u128::from(u64::MAX));
+    }
+
+    #[test]
+    fn one_span_records_the_histogram_and_the_trace_together() {
+        let tracer = Tracer::new();
+        let obs = Obs::enabled().with_tracer(tracer.clone());
+        let mut outer = obs.span("job", "test");
+        outer.arg("items", 3);
+        let outer_id = outer.id();
+        assert_ne!(outer_id, 0);
+        let timer = obs.timer("task", "test");
+        // Implicit parent: the innermost open span on this thread.
+        timer.start().unwrap().finish();
+        // Explicit parent: the cross-thread form.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // The lane guard flushes this thread's events before the join.
+                let _lane = tracer.worker_scope(1);
+                let mut span = timer.start_child_of(outer_id).unwrap();
+                span.arg("worker", 1);
+            });
+        });
+        let wall = outer.finish();
+        let snap = obs.snapshot().unwrap();
+        let log = tracer.drain();
+        let job = log.events.iter().find(|e| e.name == "job").unwrap();
+        assert_eq!((job.cat.as_str(), job.id), ("test", outer_id));
+        assert_eq!(job.args, vec![("items".to_string(), 3)]);
+        // Both planes saw the same interval.
+        assert_eq!(job.dur_ns, duration_ns(wall));
+        assert_eq!(snap.histogram("job.ns").unwrap().sum, job.dur_ns);
+        let tasks: Vec<_> = log.events.iter().filter(|e| e.name == "task").collect();
+        assert_eq!(tasks.len(), 2);
+        assert!(tasks.iter().all(|e| e.parent == outer_id && e.id != 0));
+        assert!(tasks
+            .iter()
+            .any(|e| e.args == vec![("worker".to_string(), 1)]));
+        assert_eq!(snap.histogram("task.ns").unwrap().count, 2);
     }
 
     #[test]
     fn tracer_rides_the_obs_handle_and_composes_with_either_registry_state() {
         let plain = Obs::disabled();
         assert!(!plain.trace_enabled());
-        assert!(plain.trace_span("never", "test").is_none());
         let traced = Obs::disabled().with_tracer(Tracer::new());
         assert!(traced.trace_enabled() && !traced.is_enabled());
         let clone = traced.clone();
-        clone.trace_span("work", "test").unwrap().finish();
+        clone.span("work", "test").finish();
         let log = traced.tracer().unwrap().drain();
         assert_eq!(log.events.len(), 1);
         assert_eq!(log.events[0].name, "work");
         // Registry + tracer on one handle: both planes record.
         let both = Obs::enabled().with_tracer(Tracer::new());
         both.inc("jobs");
-        both.trace_span("job", "test").unwrap().finish();
+        both.span("job", "test").finish();
         assert_eq!(both.snapshot().unwrap().counter("jobs"), 1);
         assert_eq!(both.tracer().unwrap().drain().events.len(), 1);
     }

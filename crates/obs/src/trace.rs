@@ -31,7 +31,7 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Per-thread buffer capacity: the ring flushes to the central sink when it
 /// holds this many events.
@@ -261,18 +261,30 @@ impl Tracer {
     /// [`TraceSpan::finish`]ed.
     #[must_use]
     pub fn span(&self, name: &str, cat: &str) -> TraceSpan {
-        let parent = self.with_entry(|entry| entry.stack.last().copied().unwrap_or(0));
-        self.span_child_of(name, cat, parent)
+        self.open(name, cat, None, Instant::now())
     }
 
     /// Opens a span with an explicit parent id (0 = none) — the cross-thread
     /// form used to parent worker-side task spans under the pool-call span.
     #[must_use]
     pub fn span_child_of(&self, name: &str, cat: &str, parent: u64) -> TraceSpan {
+        self.open(name, cat, Some(parent), Instant::now())
+    }
+
+    /// Opens a span that began at `start`, under `parent` or (when `None`) the
+    /// current thread's innermost open span.
+    pub(crate) fn open(
+        &self,
+        name: &str,
+        cat: &str,
+        parent: Option<u64>,
+        start: Instant,
+    ) -> TraceSpan {
         let id = self.sink.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let tid = self.with_entry(|entry| {
+        let (tid, parent) = self.with_entry(|entry| {
+            let parent = parent.unwrap_or_else(|| entry.stack.last().copied().unwrap_or(0));
             entry.stack.push(id);
-            entry.tid
+            (entry.tid, parent)
         });
         TraceSpan {
             tracer: self.clone(),
@@ -281,7 +293,8 @@ impl Tracer {
             tid,
             id,
             parent,
-            start: Instant::now(),
+            start,
+            end: None,
             args: Vec::new(),
         }
     }
@@ -301,33 +314,6 @@ impl Tracer {
             parent,
             ts_ns,
             dur_ns: 0,
-            args: args.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        });
-    }
-
-    /// Records a complete event for the half-open interval beginning at
-    /// `start` and lasting `dur_ns`, on the current lane under the innermost
-    /// open span. This is the retro-timestamped form used by kernels that
-    /// already hold stage stamps.
-    pub fn complete(
-        &self,
-        name: &str,
-        cat: &str,
-        start: Instant,
-        dur_ns: u64,
-        args: &[(&str, u64)],
-    ) {
-        let (tid, parent) =
-            self.with_entry(|entry| (entry.tid, entry.stack.last().copied().unwrap_or(0)));
-        self.push_event(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            kind: TraceKind::Span,
-            tid,
-            id: 0,
-            parent,
-            ts_ns: self.ts_of(start),
-            dur_ns,
             args: args.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
         });
     }
@@ -400,6 +386,7 @@ pub struct TraceSpan {
     id: u64,
     parent: u64,
     start: Instant,
+    end: Option<Instant>,
     args: Vec<(String, u64)>,
 }
 
@@ -415,21 +402,21 @@ impl TraceSpan {
         self.args.push((key.to_string(), value));
     }
 
-    /// Elapsed wall time since the span opened.
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     /// Ends the span and records it.
     pub fn finish(self) {
         drop(self);
+    }
+
+    /// Ends the span at `end` (an instant the caller already read).
+    pub(crate) fn finish_at(mut self, end: Instant) {
+        self.end = Some(end);
     }
 }
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        let dur_ns = crate::duration_ns(self.start.elapsed());
+        let end = self.end.unwrap_or_else(Instant::now);
+        let dur_ns = crate::duration_ns(end.saturating_duration_since(self.start));
         let event = TraceEvent {
             name: std::mem::take(&mut self.name),
             cat: std::mem::take(&mut self.cat),
@@ -543,20 +530,6 @@ mod tests {
         lanes.sort_unstable();
         assert_eq!(lanes, vec![1, 2, 3]);
         assert!(tasks.iter().all(|e| e.parent == call_id));
-    }
-
-    #[test]
-    fn complete_records_retro_timestamped_stages() {
-        let tracer = Tracer::new();
-        let start = Instant::now();
-        tracer.complete("stage", "test", start, 123, &[("shots", 64)]);
-        let log = tracer.drain();
-        assert_eq!(log.events.len(), 1);
-        let e = &log.events[0];
-        assert_eq!(e.dur_ns, 123);
-        assert_eq!(e.kind, TraceKind::Span);
-        assert_eq!(e.ts_ns, tracer.ts_of(start));
-        assert_eq!(e.args, vec![("shots".to_string(), 64)]);
     }
 
     #[test]

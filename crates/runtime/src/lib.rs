@@ -45,9 +45,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use prophunt_obs::{duration_ns, Obs, TraceSpan};
+use prophunt_obs::{duration_ns, Obs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Configuration of the shared parallel runtime.
 ///
@@ -239,63 +238,41 @@ impl Runtime {
         F: Fn(usize) -> U + Sync,
     {
         let workers = self.threads().min(tasks);
-        // Pool metrics are strictly out-of-band: handles are hoisted here so
-        // the disabled path costs one `None` check per task, and nothing below
-        // touches the seed streams.
-        let _call_span = self.obs.span("runtime.call.ns");
-        let call_start = Instant::now();
+        // Pool metrics and trace spans are strictly out-of-band: handles are
+        // hoisted here so the disabled path costs one `None` check per task,
+        // and nothing below touches the seed streams. One pool-call span on
+        // the control lane, one task span per task on its worker's lane
+        // (parented to the call span across threads), queue-wait and worker
+        // attribution as task-span args.
+        let mut call = self.obs.span("runtime.call", "runtime");
+        call.arg("tasks", tasks as u64);
+        call.arg("workers", workers as u64);
         if let Some(h) = self.obs.histogram("runtime.call.tasks") {
             h.record(tasks as u64);
         }
         self.obs.gauge_max("runtime.workers.peak", workers as u64);
-        let task_hist = self.obs.histogram("runtime.task.ns");
+        let task_timer = self.obs.timer("runtime.task", "runtime");
         let wait_hist = self.obs.histogram("runtime.task.wait.ns");
-        // Trace plumbing rides the same out-of-band contract: one pool-call
-        // span on the control lane, one task span per task on its worker's
-        // lane (parented to the call span across threads), queue-wait and
-        // worker attribution as task-span args.
-        let tracer = self.obs.tracer().cloned();
-        let mut call_trace = tracer.as_ref().map(|t| {
-            let mut span = t.span("runtime.call", "runtime");
-            span.arg("tasks", tasks as u64);
-            span.arg("workers", workers as u64);
-            span
-        });
-        let call_id = call_trace.as_ref().map_or(0, TraceSpan::id);
         let timed = |worker: u64, task: usize| -> U {
-            if task_hist.is_none() && tracer.is_none() {
+            let Some(mut span) = task_timer.start_child_of(call.id()) else {
                 return f(task);
-            }
-            let wait_ns = duration_ns(call_start.elapsed());
+            };
+            let wait_ns = duration_ns(call.elapsed());
             if let Some(wh) = &wait_hist {
                 wh.record(wait_ns);
             }
-            let task_trace = tracer.as_ref().map(|t| {
-                let mut span = t.span_child_of("runtime.task", "runtime", call_id);
-                span.arg("task", task as u64);
-                span.arg("worker", worker);
-                span.arg("wait_ns", wait_ns);
-                span
-            });
-            let started = Instant::now();
-            let out = f(task);
-            if let Some(th) = &task_hist {
-                th.record(duration_ns(started.elapsed()));
-            }
-            drop(task_trace);
-            out
+            span.arg("task", task as u64);
+            span.arg("worker", worker);
+            span.arg("wait_ns", wait_ns);
+            f(task)
         };
         if workers <= 1 {
-            let out = (0..tasks).map(|task| timed(0, task)).collect();
-            if let Some(span) = call_trace.take() {
-                span.finish();
-            }
-            return out;
+            return (0..tasks).map(|task| timed(0, task)).collect();
         }
         let next = AtomicUsize::new(0);
         let timed = &timed;
         let next = &next;
-        let tracer = &tracer;
+        let tracer = self.obs.tracer();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -303,7 +280,7 @@ impl Runtime {
                         // Lane `w + 1`: lane 0 stays the control thread. The
                         // guard's drop also flushes the worker's trace buffer
                         // before the scope joins.
-                        let _lane = tracer.as_ref().map(|t| t.worker_scope(w as u64 + 1));
+                        let _lane = tracer.map(|t| t.worker_scope(w as u64 + 1));
                         let mut local: Vec<(usize, U)> = Vec::new();
                         loop {
                             let task = next.fetch_add(1, Ordering::Relaxed);
@@ -321,11 +298,7 @@ impl Runtime {
                 indexed.extend(handle.join().expect("runtime worker panicked"));
             }
             indexed.sort_unstable_by_key(|(task, _)| *task);
-            let out: Vec<U> = indexed.into_iter().map(|(_, value)| value).collect();
-            if let Some(span) = call_trace.take() {
-                span.finish();
-            }
-            out
+            indexed.into_iter().map(|(_, value)| value).collect()
         })
     }
 

@@ -9,7 +9,7 @@ use prophunt_suite::api::{
     DecoderRegistry, ExperimentSpec, LerJob, OptimizeJob, SearchJob, Session, ShotBudget,
 };
 use prophunt_suite::formats::trace_event_to_record;
-use prophunt_suite::obs::{Obs, TraceLog, Tracer, DIAG_CATEGORY};
+use prophunt_suite::obs::{Obs, TraceKind, TraceLog, Tracer, DIAG_CATEGORY};
 use prophunt_suite::runtime::RuntimeConfig;
 
 fn traced_session(threads: usize, seed: u64) -> (Session, Tracer) {
@@ -215,7 +215,7 @@ fn traced_search_diag_records_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn truncating_a_trace_span_mid_run_is_harmless_to_results() {
+fn draining_a_trace_mid_run_is_harmless_to_results() {
     // Drain mid-run from another handle: the tracer is lock-free and shared,
     // so a concurrent drain (e.g. a future live exporter) must not perturb
     // the run's deterministic outputs, only steal the events drained so far.
@@ -236,4 +236,74 @@ fn truncating_a_trace_span_mid_run_is_harmless_to_results() {
     let outcome = session.run_ler_quiet(&job).unwrap();
     assert_eq!(outcome.combined.failures, baseline.combined.failures);
     assert!(!tracer.drain().events.is_empty());
+}
+
+#[test]
+fn every_span_has_a_histogram_and_every_timing_histogram_has_spans() {
+    // One primitive records both planes, so the metrics and the trace cannot
+    // drift: on a registry+tracer session, each span name `X` has a histogram
+    // `X.ns` with exactly one observation per `X` event, and each `*.ns`
+    // histogram (bar the pool's queue-wait distribution, which is a task-span
+    // arg rather than a span of its own) names a span.
+    let spec = |family: &str| {
+        ExperimentSpec::builder()
+            .code_family(family)
+            .unwrap()
+            .noise_str("depolarizing:0.008")
+            .unwrap()
+            .build()
+            .unwrap()
+    };
+    let (mut session, tracer) = traced_session(2, 5);
+    session
+        .run_ler_quiet(&LerJob::new(spec("surface:3")).with_budget(ShotBudget::fixed(256)))
+        .unwrap();
+    session
+        .run_optimize_quiet(
+            &OptimizeJob::new(spec("surface:3"))
+                .with_iterations(1)
+                .with_samples(8),
+        )
+        .unwrap();
+    session
+        .run_search_quiet(
+            &SearchJob::new(spec("surface:3"))
+                .with_rounds(2)
+                .with_proposals(4)
+                .with_samples(4),
+        )
+        .unwrap();
+    let log = tracer.drain();
+    assert_eq!(log.dropped, 0);
+    let metrics = session.metrics();
+
+    let spans: Vec<&str> = log
+        .events
+        .iter()
+        .filter(|e| e.cat != DIAG_CATEGORY && e.kind == TraceKind::Span)
+        .map(|e| e.name.as_str())
+        .collect();
+    let mut span_names = spans.clone();
+    span_names.sort_unstable();
+    span_names.dedup();
+    for &name in &span_names {
+        let events = spans.iter().filter(|&&span| span == name).count() as u64;
+        let hist = metrics
+            .histogram(&format!("{name}.ns"))
+            .unwrap_or_else(|| panic!("span {name} has no {name}.ns histogram"));
+        assert_eq!(hist.count, events, "{name}: histogram vs trace events");
+    }
+    for (hist, _) in &metrics.histograms {
+        let Some(name) = hist.strip_suffix(".ns") else {
+            continue;
+        };
+        if hist == "runtime.task.wait.ns" {
+            continue;
+        }
+        assert!(span_names.contains(&name), "histogram {hist} has no spans");
+    }
+    // The session's build steps and the LER kernel's chunks are on both planes.
+    for name in ["session.dem", "session.decoder", "ler.chunk", "job.search"] {
+        assert!(span_names.contains(&name), "no {name} spans");
+    }
 }
