@@ -3,7 +3,7 @@
 
 use crate::noise::NoiseSpec;
 use crate::spec::ExperimentSpec;
-use prophunt::{IterationRecord, OptimizationResult};
+use prophunt::{IterationRecord, OptimizationResult, PropHuntConfig};
 use prophunt_circuit::MemoryBasis;
 use prophunt_decoders::{Engine, LerStopReason, LogicalErrorEstimate, ShotBudget};
 use prophunt_formats::ReportRecord;
@@ -207,29 +207,37 @@ pub struct OptimizeJob {
 }
 
 impl OptimizeJob {
-    /// Creates a job with the quick-profile defaults (4 iterations, 40 samples).
+    /// Creates a job with the quick-profile budgets of [`PropHuntConfig::quick`].
     pub fn new(spec: ExperimentSpec) -> OptimizeJob {
+        let quick = PropHuntConfig::quick(spec.rounds());
+        OptimizeJob::with_budgets(spec, &quick)
+    }
+
+    /// Switches to the paper-scale budgets of [`PropHuntConfig::paper_like`].
+    pub fn paper_profile(self) -> OptimizeJob {
+        let OptimizeJob {
+            spec, seed, label, ..
+        } = self;
+        let paper = PropHuntConfig::paper_like(spec.rounds());
         OptimizeJob {
-            spec,
-            iterations: 4,
-            samples_per_iteration: 40,
-            maxsat_budget: Duration::from_secs(20),
-            max_subgraph_steps: 60,
-            max_subgraphs_per_iteration: 6,
-            seed: None,
-            label: None,
+            seed,
+            label,
+            ..OptimizeJob::with_budgets(spec, &paper)
         }
     }
 
-    /// Switches to the paper-scale profile (25 iterations, 500 samples, 360 s
-    /// MaxSAT budget, wider subgraph search).
-    pub fn paper_profile(mut self) -> OptimizeJob {
-        self.iterations = 25;
-        self.samples_per_iteration = 500;
-        self.maxsat_budget = Duration::from_secs(360);
-        self.max_subgraph_steps = 120;
-        self.max_subgraphs_per_iteration = 24;
-        self
+    /// A job on `spec` with the optimizer budgets of `profile`.
+    fn with_budgets(spec: ExperimentSpec, profile: &PropHuntConfig) -> OptimizeJob {
+        OptimizeJob {
+            spec,
+            iterations: profile.iterations,
+            samples_per_iteration: profile.samples_per_iteration,
+            maxsat_budget: profile.maxsat_budget,
+            max_subgraph_steps: profile.max_subgraph_steps,
+            max_subgraphs_per_iteration: profile.max_subgraphs_per_iteration,
+            seed: None,
+            label: None,
+        }
     }
 
     /// Sets the iteration budget.

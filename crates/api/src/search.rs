@@ -1,7 +1,7 @@
 //! [`SearchJob`]: portfolio schedule search as a typed session job.
 
 use crate::spec::ExperimentSpec;
-use prophunt_search::{SearchResult, StrategyKind};
+use prophunt_search::{SearchParams, SearchResult, StrategyKind};
 use std::time::Duration;
 
 /// A strategy-portfolio search job: race N seeded [`StrategyKind`] instances
@@ -36,17 +36,18 @@ pub struct SearchJob {
 
 impl SearchJob {
     /// Creates a job with the quick-profile defaults: the full built-in
-    /// strategy mix, one instance per strategy, 8 rounds, 24 proposals per
-    /// round, 20 MaxSAT samples per iteration.
+    /// strategy mix, one instance per strategy, 8 rounds, and the effort
+    /// knobs of [`SearchParams::default`].
     pub fn new(spec: ExperimentSpec) -> SearchJob {
+        let params = SearchParams::default();
         SearchJob {
             spec,
             strategies: StrategyKind::ALL.to_vec(),
             portfolio_size: StrategyKind::ALL.len(),
             rounds: 8,
-            proposals_per_round: 24,
-            samples_per_iteration: 20,
-            maxsat_budget: Duration::from_secs(20),
+            proposals_per_round: params.proposals_per_round,
+            samples_per_iteration: params.samples_per_iteration,
+            maxsat_budget: params.maxsat_budget,
             seed: None,
             label: None,
         }

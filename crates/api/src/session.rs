@@ -402,7 +402,6 @@ impl Session {
             noise: job.spec.noise().build(),
             samples_per_iteration: job.samples_per_iteration,
             maxsat_budget: job.maxsat_budget,
-            ..SearchParams::default()
         };
         let config = PortfolioConfig {
             strategies: job.strategies.clone(),

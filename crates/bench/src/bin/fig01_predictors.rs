@@ -4,7 +4,8 @@
 //! with equal depth / d_eff but different LER.
 
 use prophunt::{PropHunt, PropHuntConfig};
-use prophunt_bench::{combined_logical_error_rate, runtime_config_from_env, stage_seed};
+use prophunt_api::{NoiseSpec, ShotBudget};
+use prophunt_bench::{bench_session, run_ler_point, stage_seed};
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_qec::surface::rotated_surface_code_with_layout;
 use prophunt_runtime::Runtime;
@@ -16,7 +17,8 @@ fn main() {
     let d = if quick { 3 } else { 5 };
     let shots = if quick { 800 } else { 5_000 };
     let num_schedules = if quick { 6 } else { 20 };
-    let runtime = runtime_config_from_env();
+    let mut session = bench_session();
+    let runtime = *session.runtime().config();
     let (code, layout) = rotated_surface_code_with_layout(d);
     let prophunt = PropHunt::new(
         code.clone(),
@@ -55,7 +57,17 @@ fn main() {
         let deff = prophunt
             .estimate_effective_distance(&schedule, 8)
             .unwrap_or(0);
-        let ler = combined_logical_error_rate(&code, &schedule, d, 1e-3, shots, 5, &runtime).rate();
+        let ler = run_ler_point(
+            &mut session,
+            &code,
+            &schedule,
+            d,
+            NoiseSpec::uniform(1e-3),
+            ShotBudget::fixed(shots),
+            5,
+        )
+        .combined
+        .rate();
         println!("{name:<16} {depth:>6} {deff:>6} {ler:>10.5}");
     }
 }

@@ -2,9 +2,8 @@
 //! the optimization starting point.
 
 use prophunt::{PropHunt, PropHuntConfig};
-use prophunt_bench::{
-    benchmark_suite, combined_logical_error_rate, runtime_config_from_env, stage_seed,
-};
+use prophunt_api::{NoiseSpec, ShotBudget};
+use prophunt_bench::{bench_session, benchmark_suite, run_ler_point, stage_seed};
 use prophunt_circuit::schedule::ScheduleSpec;
 use prophunt_runtime::Runtime;
 use rand::rngs::StdRng;
@@ -20,7 +19,8 @@ fn main() {
         "{:<14} {:>5} {:>14} {:>14}",
         "code", "start#", "LER(start)", "LER(end)"
     );
-    let runtime = runtime_config_from_env();
+    let mut session = bench_session();
+    let runtime = *session.runtime().config();
     let mut rng = StdRng::seed_from_u64(99);
     for bench in benchmark_suite(false) {
         let code = &bench.code;
@@ -38,18 +38,21 @@ fn main() {
             let result = prophunt
                 .try_optimize(baseline.clone())
                 .expect("random coloration baseline is valid");
-            let before =
-                combined_logical_error_rate(code, &baseline, rounds, p, shots, 3, &runtime).rate();
-            let after = combined_logical_error_rate(
-                code,
-                &result.final_schedule,
-                rounds,
-                p,
-                shots,
-                3,
-                &runtime,
-            )
-            .rate();
+            let mut ler = |schedule| {
+                run_ler_point(
+                    &mut session,
+                    code,
+                    schedule,
+                    rounds,
+                    NoiseSpec::uniform(p),
+                    ShotBudget::fixed(shots),
+                    3,
+                )
+                .combined
+                .rate()
+            };
+            let before = ler(&baseline);
+            let after = ler(&result.final_schedule);
             println!("{:<14} {s:>5} {before:>14.5} {after:>14.5}", code.name());
         }
     }

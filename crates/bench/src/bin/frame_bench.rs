@@ -175,7 +175,7 @@ fn assert_same_frames_parity(
         sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
         let det_shots = transpose_lane_words(&det_frames, lanes);
         let obs_shots = transpose_lane_words(&obs_frames, lanes);
-        let batch = decoder.decode_batch(&det_shots);
+        let (batch, _) = decoder.decode_batch(&det_shots);
         let (cached, _) = decode_shots_cached(decoder, &det_shots, DecodeCache::On);
         let (uncached, _) = decode_shots_cached(decoder, &det_shots, DecodeCache::Off);
         for (lane, (shot, observed)) in det_shots.iter().zip(&obs_shots).enumerate() {

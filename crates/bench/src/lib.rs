@@ -2,9 +2,8 @@
 //!
 //! The binaries in `src/bin/` regenerate the data behind every table and figure of the
 //! paper's evaluation (see the root `README.md` for the experiment index and
-//! recorded results); the Criterion benches in `benches/` measure the performance-
-//! critical kernels (detector-error-model construction, ambiguity checking, subgraph
-//! MaxSAT solving, decoding throughput).
+//! recorded results). Speed numbers come from the bins that write a `BENCH_*.json`
+//! and gate it in-bin (`schedule_eval`, `frame_bench`, `obs_bench`, `search_bench`).
 //!
 //! Since the Session/Job redesign the harness is a thin layer over
 //! [`prophunt_api`]: each figure binary opens one [`Session`] (so memory
@@ -21,7 +20,6 @@ use prophunt_api::{
     Session, ShotBudget, StrategyKind,
 };
 use prophunt_circuit::schedule::ScheduleSpec;
-use prophunt_decoders::LogicalErrorEstimate;
 use prophunt_formats::report::ReportRecord;
 use prophunt_formats::write_report;
 use prophunt_qec::product::{bivariate_bicycle, generalized_bicycle};
@@ -321,83 +319,6 @@ pub fn compare_search_strategies(
     }
 }
 
-/// Estimates the combined (X + Z memory) logical error rate of a schedule.
-pub fn combined_logical_error_rate(
-    code: &CssCode,
-    schedule: &ScheduleSpec,
-    rounds: usize,
-    p: f64,
-    shots: usize,
-    seed: u64,
-    runtime: &RuntimeConfig,
-) -> LogicalErrorEstimate {
-    combined_logical_error_rate_with_idle(code, schedule, rounds, p, 0.0, shots, seed, runtime)
-}
-
-/// Estimates the combined logical error rate with an additional idle-error strength
-/// (Figure 15's sensitivity study).
-#[allow(clippy::too_many_arguments)]
-pub fn combined_logical_error_rate_with_idle(
-    code: &CssCode,
-    schedule: &ScheduleSpec,
-    rounds: usize,
-    p: f64,
-    idle: f64,
-    shots: usize,
-    seed: u64,
-    runtime: &RuntimeConfig,
-) -> LogicalErrorEstimate {
-    // `seed` acts as this call site's stage label; the runtime's base seed
-    // (e.g. PROPHUNT_SEED) rotates the actual stream.
-    let mut session = Session::new(*runtime);
-    run_ler_point(
-        &mut session,
-        code,
-        schedule,
-        rounds,
-        NoiseSpec::Depolarizing { p, idle },
-        ShotBudget::fixed(shots),
-        seed,
-    )
-    .combined
-}
-
-/// Sweeps the combined logical error rate of one schedule over several physical
-/// error rates through one shared session, returning `(p, estimate)` pairs in
-/// input order.
-///
-/// Each sweep point seeds its Monte-Carlo chunks from `seed` alone, so a sweep
-/// returns the same estimates as pointwise [`combined_logical_error_rate`]
-/// calls.
-pub fn sweep_logical_error_rates(
-    code: &CssCode,
-    schedule: &ScheduleSpec,
-    rounds: usize,
-    ps: &[f64],
-    shots: usize,
-    seed: u64,
-    runtime: &RuntimeConfig,
-) -> Vec<(f64, LogicalErrorEstimate)> {
-    let mut session = Session::new(*runtime);
-    ps.iter()
-        .map(|&p| {
-            (
-                p,
-                run_ler_point(
-                    &mut session,
-                    code,
-                    schedule,
-                    rounds,
-                    NoiseSpec::uniform(p),
-                    ShotBudget::fixed(shots),
-                    seed,
-                )
-                .combined,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,30 +341,20 @@ mod tests {
         let suite = benchmark_suite(false);
         let bench = &suite[0];
         let schedule = ScheduleSpec::coloration(&bench.code);
-        let runtime = RuntimeConfig::new(2, 64, 0);
-        let est = combined_logical_error_rate(&bench.code, &schedule, 2, 2e-3, 200, 1, &runtime);
+        let mut session = Session::new(RuntimeConfig::new(2, 64, 0));
+        let est = run_ler_point(
+            &mut session,
+            &bench.code,
+            &schedule,
+            2,
+            NoiseSpec::uniform(2e-3),
+            ShotBudget::fixed(200),
+            1,
+        )
+        .combined;
         assert!(est.rate() >= 0.0 && est.rate() <= 1.0);
+        // A combined point runs the budget once per basis.
         assert_eq!(est.shots, 400);
-    }
-
-    #[test]
-    fn sweeps_match_pointwise_estimates_and_preserve_order() {
-        let suite = benchmark_suite(false);
-        let bench = &suite[0];
-        let schedule = ScheduleSpec::coloration(&bench.code);
-        let runtime = RuntimeConfig::new(4, 64, 0);
-        let ps = [2e-3, 8e-3];
-        let sweep = sweep_logical_error_rates(&bench.code, &schedule, 2, &ps, 150, 5, &runtime);
-        assert_eq!(sweep.len(), 2);
-        for ((p, est), expected_p) in sweep.iter().zip(ps) {
-            assert_eq!(*p, expected_p);
-            let point =
-                combined_logical_error_rate(&bench.code, &schedule, 2, *p, 150, 5, &runtime);
-            assert_eq!(
-                est.failures, point.failures,
-                "sweep must match pointwise run"
-            );
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Exit codes of the `prophunt` binary on malformed `--metrics` input: a
-//! corrupt file is an operation failure (exit 1), never a panic (exit 101).
+//! Exit codes of the `prophunt` binary on malformed input: a corrupt
+//! `--metrics` file or an oversized code family is an operation failure
+//! (exit 1), never a panic (exit 101) or an out-of-memory kill.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -35,5 +36,18 @@ fn report_and_check_reject_an_out_of_range_bucket_with_exit_code_1() {
         assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
         assert!(stderr.contains("out of range"), "{command}: {stderr}");
         assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
+}
+
+#[test]
+fn an_oversized_code_family_exits_1_without_building_it() {
+    for family in ["surface:4000", "surface:99999999999"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_prophunt"))
+            .args(["code", "--family", family])
+            .output()
+            .expect("run prophunt");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{family}: {stderr}");
+        assert!(stderr.contains("10000"), "{family}: {stderr}");
     }
 }

@@ -116,7 +116,7 @@ const ZERO_LANE: usize = usize::MAX;
 /// prediction per shot (in order) plus the pipeline's [`DecodeStats`].
 ///
 /// With [`DecodeCache::On`] the zero-syndrome fast path and the syndrome-dedup
-/// cache run in front of [`Decoder::decode_batch_with_stats`]; with
+/// cache run in front of [`Decoder::decode_batch`]; with
 /// [`DecodeCache::Off`] every shot goes straight to the decoder. Both paths
 /// satisfy `output[i] == decoder.decode(&shots[i])` bit-for-bit.
 pub fn decode_shots_cached(
@@ -125,7 +125,7 @@ pub fn decode_shots_cached(
     cache: DecodeCache,
 ) -> (Vec<BitVec>, DecodeStats) {
     if cache == DecodeCache::Off {
-        let (predictions, batch) = decoder.decode_batch_with_stats(shots);
+        let (predictions, batch) = decoder.decode_batch(shots);
         let stats = DecodeStats {
             bp_converged: batch.bp_converged,
             osd_calls: batch.osd_calls,
@@ -167,7 +167,7 @@ pub fn decode_shots_cached(
         }
     }
     let distinct_shots: Vec<BitVec> = distinct.iter().map(|&i| shots[i].clone()).collect();
-    let (predictions, batch) = decoder.decode_batch_with_stats(&distinct_shots);
+    let (predictions, batch) = decoder.decode_batch(&distinct_shots);
     stats.bp_converged = batch.bp_converged;
     stats.osd_calls = batch.osd_calls;
     // The zero correction is itself a pure function of the decoder, computed

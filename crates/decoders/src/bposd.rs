@@ -783,11 +783,6 @@ impl Decoder for BpOsdDecoder {
         self.observables_of(&errors)
     }
 
-    /// Batch path of the frame engine; see [`Decoder::decode_batch_with_stats`].
-    fn decode_batch(&self, shots: &[BitVec]) -> Vec<BitVec> {
-        self.decode_batch_with_stats(shots).0
-    }
-
     /// Batch path of the frame engine: shots run through the
     /// structure-of-arrays lane-parallel BP core in blocks of
     /// `BP_BLOCK_LANES` (32), with the Tanner-graph layout and the OSD
@@ -795,7 +790,7 @@ impl Decoder for BpOsdDecoder {
     /// All-zero syndromes short-circuit exactly like the per-shot path.
     /// Per-shot results are pinned equal to [`Decoder::decode`] by the
     /// equality tests in this crate and the `frame_engine` suite tests.
-    fn decode_batch_with_stats(&self, shots: &[BitVec]) -> (Vec<BitVec>, BatchStats) {
+    fn decode_batch(&self, shots: &[BitVec]) -> (Vec<BitVec>, BatchStats) {
         let mut scratch = BpScratch::new(self);
         let mut block_scratch = BpBlockScratch::default();
         let mut stats = BatchStats::default();
@@ -920,7 +915,7 @@ mod tests {
         let decoder = BpOsdDecoder::new(&dem);
         let mut sampler = dem.sampler(29);
         let shots: Vec<BitVec> = (0..60).map(|_| sampler.sample().0).collect();
-        let batch = decoder.decode_batch(&shots);
+        let (batch, _) = decoder.decode_batch(&shots);
         assert_eq!(batch.len(), shots.len());
         for (i, (shot, prediction)) in shots.iter().zip(&batch).enumerate() {
             assert_eq!(&decoder.decode(shot), prediction, "shot {i}");
@@ -937,8 +932,7 @@ mod tests {
         let shots: Vec<BitVec> = (0..100).map(|_| sampler.sample().0).collect();
         let nonzero = shots.iter().filter(|s| !s.is_zero()).count();
         assert!(nonzero > 0);
-        let (predictions, stats) = decoder.decode_batch_with_stats(&shots);
-        assert_eq!(predictions, decoder.decode_batch(&shots));
+        let (predictions, stats) = decoder.decode_batch(&shots);
         assert_eq!(stats.bp_converged + stats.osd_calls, nonzero);
         assert!(stats.bp_converged > 0, "some shots should converge in BP");
         for (i, (shot, prediction)) in shots.iter().zip(&predictions).enumerate() {

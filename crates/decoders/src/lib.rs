@@ -63,7 +63,7 @@ pub use unionfind::UnionFindDecoder;
 
 use prophunt_gf2::BitVec;
 
-/// Decoder-side tallies for one [`Decoder::decode_batch_with_stats`] call.
+/// Decoder-side tallies for one [`Decoder::decode_batch`] call.
 ///
 /// Like every deterministic counter in this workspace, the fields are pure
 /// functions of the input shots. Decoders without a BP/OSD split (union-find)
@@ -86,27 +86,20 @@ pub trait Decoder: Send + Sync {
     fn decode(&self, detectors: &BitVec) -> BitVec;
 
     /// Predicts the observable flips of a whole batch of shots, one prediction
-    /// per input syndrome, in order.
+    /// per input syndrome, in order, plus decoder-side [`BatchStats`] tallies.
     ///
     /// The contract is strict equality with the per-shot path: for every `i`,
-    /// `decode_batch(shots)[i] == decode(&shots[i])`. The default
-    /// implementation simply loops [`Decoder::decode`]; decoders with
-    /// per-call scratch ([`BpOsdDecoder`], [`UnionFindDecoder`]) override it
-    /// to build the scratch once and reuse it across the batch, which is where
-    /// the frame engine's batch-decoding speedup comes from.
-    fn decode_batch(&self, shots: &[BitVec]) -> Vec<BitVec> {
-        shots.iter().map(|s| self.decode(s)).collect()
-    }
-
-    /// [`Decoder::decode_batch`] plus decoder-side [`BatchStats`] tallies.
-    ///
-    /// The predictions obey the exact same strict-equality contract as
-    /// [`Decoder::decode_batch`]; the stats are a pure function of the shots
-    /// (deterministic at any thread count). The default implementation
-    /// returns the plain batch result with all-zero stats; [`BpOsdDecoder`]
-    /// overrides it to report BP convergence and OSD fallback counts.
-    fn decode_batch_with_stats(&self, shots: &[BitVec]) -> (Vec<BitVec>, BatchStats) {
-        (self.decode_batch(shots), BatchStats::default())
+    /// `decode_batch(shots).0[i] == decode(&shots[i])`, and the stats are a
+    /// pure function of the shots (deterministic at any thread count). The
+    /// default implementation simply loops [`Decoder::decode`] and reports
+    /// all-zero stats; decoders with per-call scratch ([`BpOsdDecoder`],
+    /// [`UnionFindDecoder`]) override it to build the scratch once and reuse
+    /// it across the batch, which is where the frame engine's batch-decoding
+    /// speedup comes from, and [`BpOsdDecoder`] also reports BP convergence
+    /// and OSD fallback counts.
+    fn decode_batch(&self, shots: &[BitVec]) -> (Vec<BitVec>, BatchStats) {
+        let predictions = shots.iter().map(|s| self.decode(s)).collect();
+        (predictions, BatchStats::default())
     }
 
     /// Number of detectors the decoder expects per shot.

@@ -1,6 +1,6 @@
 //! A union-find (cluster growth + peeling) decoder for graph-like detector error models.
 
-use crate::Decoder;
+use crate::{BatchStats, Decoder};
 use prophunt_circuit::DetectorErrorModel;
 use prophunt_gf2::BitVec;
 
@@ -371,12 +371,13 @@ impl Decoder for UnionFindDecoder {
     /// Batch path of the frame engine: one scratch allocation for the whole
     /// batch instead of one per shot. Identical to per-shot [`Decoder::decode`]
     /// because both run `UnionFindDecoder::decode_with_scratch`.
-    fn decode_batch(&self, shots: &[BitVec]) -> Vec<BitVec> {
+    fn decode_batch(&self, shots: &[BitVec]) -> (Vec<BitVec>, BatchStats) {
         let mut scratch = UfScratch::new(self);
-        shots
+        let predictions = shots
             .iter()
             .map(|shot| self.decode_with_scratch(shot, &mut scratch))
-            .collect()
+            .collect();
+        (predictions, BatchStats::default())
     }
 
     fn num_detectors(&self) -> usize {
@@ -459,7 +460,8 @@ mod tests {
         let decoder = UnionFindDecoder::new(&dem);
         let mut sampler = dem.sampler(17);
         let shots: Vec<BitVec> = (0..80).map(|_| sampler.sample().0).collect();
-        let batch = decoder.decode_batch(&shots);
+        let (batch, stats) = decoder.decode_batch(&shots);
+        assert_eq!(stats, BatchStats::default());
         assert_eq!(batch.len(), shots.len());
         for (shot, prediction) in shots.iter().zip(&batch) {
             assert_eq!(&decoder.decode(shot), prediction);

@@ -120,7 +120,7 @@ proptest! {
             sampler.sample_frames(lanes, &mut det_frames, &mut obs_frames);
             let det_shots = transpose_lane_words(&det_frames, lanes);
             prop_assert_eq!(det_shots.len(), lanes);
-            let batch = decoder.decode_batch(&det_shots);
+            let (batch, _) = decoder.decode_batch(&det_shots);
             prop_assert_eq!(batch.len(), lanes);
             for (lane, shot) in det_shots.iter().enumerate() {
                 let scalar = decoder.decode(shot);

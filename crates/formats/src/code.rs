@@ -311,6 +311,23 @@ impl ResolvedCode {
     }
 }
 
+/// The most data qubits a family string may ask for.
+///
+/// The constructors build dense check matrices, so an unbounded size would exhaust
+/// memory instead of failing; the largest benchmark code has 81 data qubits.
+pub const MAX_FAMILY_QUBITS: usize = 10_000;
+
+/// Rejects a family whose data-qubit count (`None` when it overflows `usize`)
+/// exceeds [`MAX_FAMILY_QUBITS`].
+fn check_family_size(spec: &str, qubits: Option<usize>) -> Result<(), FormatError> {
+    match qubits {
+        Some(n) if n <= MAX_FAMILY_QUBITS => Ok(()),
+        _ => Err(FormatError::whole_input(format!(
+            "{spec:?} has more than {MAX_FAMILY_QUBITS} data qubits, the bound on code families"
+        ))),
+    }
+}
+
 /// Resolves a code-family string (`surface:3`, `steane`, `repetition:5`,
 /// `generalized_bicycle:<l>:<a exps>:<b exps>`,
 /// `bivariate_bicycle:<l>:<m>:<a terms>:<b terms>`) into a constructed code.
@@ -321,7 +338,8 @@ impl ResolvedCode {
 /// # Errors
 ///
 /// Returns a [`FormatError`] (without line information — family strings are single
-/// tokens) describing the malformed field or the constructor failure.
+/// tokens) describing the malformed field, a size above [`MAX_FAMILY_QUBITS`] or the
+/// constructor failure.
 pub fn resolve_family(spec: &str) -> Result<ResolvedCode, FormatError> {
     let err = |message: String| FormatError::whole_input(message);
     let mut parts = spec.split(':');
@@ -346,6 +364,7 @@ pub fn resolve_family(spec: &str) -> Result<ResolvedCode, FormatError> {
             if d < 2 {
                 return Err(err(format!("surface distance must be >= 2, got {d}")));
             }
+            check_family_size(spec, d.checked_mul(d))?;
             let (code, layout) = rotated_surface_code_with_layout(d);
             Ok(ResolvedCode {
                 code,
@@ -370,6 +389,7 @@ pub fn resolve_family(spec: &str) -> Result<ResolvedCode, FormatError> {
             if n < 2 {
                 return Err(err(format!("repetition length must be >= 2, got {n}")));
             }
+            check_family_size(spec, Some(n))?;
             Ok(ResolvedCode {
                 code: quantum_repetition_code(n),
                 layout: None,
@@ -386,6 +406,7 @@ pub fn resolve_family(spec: &str) -> Result<ResolvedCode, FormatError> {
             if l == 0 {
                 return Err(err("circulant size must be >= 1".to_string()));
             }
+            check_family_size(spec, l.checked_mul(2))?;
             let a = parse_exponents(rest[1])?;
             let b = parse_exponents(rest[2])?;
             let name = format!("gb_l{l}");
@@ -410,6 +431,7 @@ pub fn resolve_family(spec: &str) -> Result<ResolvedCode, FormatError> {
             if l == 0 || m == 0 {
                 return Err(err("group sizes must be >= 1".to_string()));
             }
+            check_family_size(spec, l.checked_mul(m).and_then(|lm| lm.checked_mul(2)))?;
             let a = parse_terms(rest[2])?;
             let b = parse_terms(rest[3])?;
             let name = format!("bb_l{l}m{m}");
@@ -546,5 +568,23 @@ mod tests {
             .contains("known families"));
         assert!(resolve_family("generalized_bicycle:9:0,x:0").is_err());
         assert!(resolve_family("bivariate_bicycle:6:6:3:0.3").is_err());
+    }
+
+    #[test]
+    fn oversized_families_are_rejected_before_construction() {
+        // Each of these is over the bound, or overflows the qubit count, and is
+        // rejected before any check matrix is built.
+        for spec in [
+            "surface:101",
+            "surface:4000",
+            "surface:99999999999",
+            "repetition:10001",
+            "generalized_bicycle:5001:0,1:0,3",
+            "bivariate_bicycle:71:71:3.0,0.1,0.2:0.3,1.0,2.0",
+            "bivariate_bicycle:4294967296:4294967296:3.0,0.1:0.3,1.0",
+        ] {
+            let message = resolve_family(spec).unwrap_err().message;
+            assert!(message.contains("10000"), "{spec}: {message}");
+        }
     }
 }

@@ -312,27 +312,6 @@ impl Runtime {
         self.run_tasks(items.len(), |i| f(&items[i]))
     }
 
-    /// Maps `f` over contiguous chunks of `items` (each of
-    /// [`Self::chunk_size`] elements, except possibly the last), returning one
-    /// result per chunk in chunk order.
-    ///
-    /// `f` receives the chunk index and the chunk slice. The chunk boundaries
-    /// depend only on `chunk_size`, never on the thread count.
-    pub fn par_map_chunked<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &[T]) -> U + Sync,
-    {
-        let chunk = self.chunk_size();
-        let chunks = items.len().div_ceil(chunk);
-        self.run_tasks(chunks, |c| {
-            let start = c * chunk;
-            let end = (start + chunk).min(items.len());
-            f(c, &items[start..end])
-        })
-    }
-
     /// Runs `tasks` seeded tasks — `f(task_index, seed)` with
     /// `seed = stream.seed_for(task_index)` — and returns the per-task
     /// results in task order.
@@ -346,16 +325,6 @@ impl Runtime {
         F: Fn(usize, u64) -> U + Sync,
     {
         self.run_tasks(tasks, |i| f(i, stream.seed_for(i as u64)))
-    }
-
-    /// Runs `tasks` tasks each producing a `Vec`, and concatenates the
-    /// per-task outputs in task order.
-    pub fn par_collect<U, F>(&self, tasks: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> Vec<U> + Sync,
-    {
-        self.run_tasks(tasks, f).into_iter().flatten().collect()
     }
 }
 
@@ -378,24 +347,6 @@ mod tests {
             let out = runtime.par_map(&items, |&x| x * 2);
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn par_map_chunked_covers_items_in_order_with_exact_boundaries() {
-        let runtime = Runtime::new(RuntimeConfig::new(8, 10, 0));
-        let items: Vec<usize> = (0..95).collect();
-        let chunks = runtime.par_map_chunked(&items, |c, chunk| (c, chunk.to_vec()));
-        assert_eq!(chunks.len(), 10);
-        for (expected, (c, chunk)) in chunks.iter().enumerate() {
-            // Chunk results arrive in chunk order with the documented bounds.
-            assert_eq!(*c, expected);
-            let start = expected * 10;
-            let len = if expected == 9 { 5 } else { 10 };
-            assert_eq!(chunk.len(), len);
-            assert_eq!(chunk[0], start);
-        }
-        let flattened: Vec<usize> = chunks.into_iter().flat_map(|(_, c)| c).collect();
-        assert_eq!(flattened, items);
     }
 
     #[test]
@@ -538,13 +489,5 @@ mod tests {
             .map(|e| e.tid)
             .collect();
         assert_eq!(lanes, vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn par_collect_concatenates_in_task_order() {
-        let runtime = Runtime::new(RuntimeConfig::new(8, 1, 0));
-        let out = runtime.par_collect(10, |i| vec![i; i % 3]);
-        let expected: Vec<usize> = (0..10).flat_map(|i| vec![i; i % 3]).collect();
-        assert_eq!(out, expected);
     }
 }

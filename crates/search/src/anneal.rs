@@ -7,6 +7,11 @@ use prophunt_obs::Counter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Starting temperature, in CNOT-depth units.
+const INITIAL_TEMPERATURE: f64 = 1.5;
+/// Multiplicative temperature decay per round.
+const COOLING: f64 = 0.85;
+
 /// Simulated annealing over the shared move neighborhood (reorders, same-kind
 /// swaps, paired cross-kind swaps, stabilizer promotion — see the `moves`
 /// module).
@@ -17,7 +22,7 @@ use rand::{Rng, SeedableRng};
 /// [`ScheduleEval::revert`] — no per-proposal schedule clone or from-scratch
 /// validation. Non-worsening moves are always taken, worsening moves with
 /// probability `exp(-Δdepth / T)`, and the temperature decays by the
-/// configured `cooling` factor per round — the classic schedule-free
+/// `COOLING` factor per round — the classic schedule-free
 /// exploration arm of the portfolio, after Sato & Suzuki's observation that
 /// permuted-ordering restarts escape the minima greedy descent gets stuck in.
 ///
@@ -30,7 +35,6 @@ pub struct Annealing {
     eval: ScheduleEval,
     best: Proposal,
     temperature: f64,
-    cooling: f64,
     proposals_per_round: usize,
     /// Hoisted `search.anneal.accepts` / `.reverts` counter handles (None when
     /// the context's observability is disabled).
@@ -51,8 +55,7 @@ impl Annealing {
                 schedule: ctx.initial.clone(),
                 depth,
             },
-            temperature: ctx.params.initial_temperature,
-            cooling: ctx.params.cooling,
+            temperature: INITIAL_TEMPERATURE,
             proposals_per_round: ctx.params.proposals_per_round,
             accepts: ctx.obs.counter("search.anneal.accepts"),
             reverts: ctx.obs.counter("search.anneal.reverts"),
@@ -98,7 +101,7 @@ impl Strategy for Annealing {
                 }
             }
         }
-        self.temperature *= self.cooling;
+        self.temperature *= COOLING;
         self.best.clone()
     }
 

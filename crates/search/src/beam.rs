@@ -7,9 +7,12 @@ use prophunt_obs::Counter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Greedy beam search: a beam of the `beam_width` best ordering assignments
+/// Slots in the beam.
+const BEAM_WIDTH: usize = 4;
+
+/// Greedy beam search: a beam of the `BEAM_WIDTH` best ordering assignments
 /// found so far, each expanded with seeded random moves every round, with the
-/// shallowest `beam_width` survivors (parents included) carried forward.
+/// shallowest `BEAM_WIDTH` survivors (parents included) carried forward.
 ///
 /// Where annealing follows one trajectory and hill climbing restarts, the beam
 /// keeps several partially refined orderings alive at once, so a deep
@@ -30,7 +33,6 @@ pub struct Beam {
     /// Beam slots ordered shallow-to-deep, ties kept in insertion order,
     /// each with its schedule fingerprint for dedup.
     beam: Vec<(Proposal, u64)>,
-    width: usize,
     proposals_per_round: usize,
     /// Hoisted `search.beam.expansions` counter handle (None when the
     /// context's observability is disabled).
@@ -54,7 +56,6 @@ impl Beam {
                 },
                 fingerprint,
             )],
-            width: ctx.params.beam_width.max(1),
             proposals_per_round: ctx.params.proposals_per_round,
             expansions: ctx.obs.counter("search.beam.expansions"),
         }
@@ -73,7 +74,7 @@ impl Beam {
             .position(|(p, _)| p.depth > candidate.depth)
             .unwrap_or(self.beam.len());
         self.beam.insert(at, (candidate, fingerprint));
-        self.beam.truncate(self.width);
+        self.beam.truncate(BEAM_WIDTH);
     }
 }
 

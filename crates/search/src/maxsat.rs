@@ -42,11 +42,9 @@ impl MaxSatDescent {
         let config = PropHuntConfig {
             iterations: 1,
             samples_per_iteration: ctx.params.samples_per_iteration,
-            rounds: ctx.params.memory_rounds,
             noise: ctx.params.noise,
             maxsat_budget: ctx.params.maxsat_budget,
-            max_subgraph_steps: 60,
-            max_subgraphs_per_iteration: 6,
+            ..PropHuntConfig::quick(ctx.params.memory_rounds)
         };
         let depth = ctx
             .initial
